@@ -1,10 +1,6 @@
 package mndmst
 
-import (
-	"context"
-
-	"mndmst/internal/apps"
-)
+import "mndmst/internal/apps"
 
 // BFSResult holds the distances computed by a distributed breadth-first
 // search.
@@ -37,15 +33,6 @@ func BFS(g *Graph, opts Options, source int32) (*BFSResult, error) {
 	}, nil
 }
 
-// BFSContext is BFS bounded by a context, with the abandon-on-cancel
-// semantics of FindMSFContext.
-func BFSContext(ctx context.Context, g *Graph, opts Options, source int32) (*BFSResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*BFSResult, error) { return BFS(g, opts, source) })
-}
-
 // CCResult labels every vertex with its connected component.
 type CCResult struct {
 	// Label maps each vertex to the minimum vertex id of its component.
@@ -72,15 +59,6 @@ func FindConnectedComponents(g *Graph, opts Options) (*CCResult, error) {
 		SimSeconds:  res.Report.ExecutionTime(),
 		CommSeconds: res.Report.CommTime(),
 	}, nil
-}
-
-// FindConnectedComponentsContext is FindConnectedComponents bounded by a
-// context, with the abandon-on-cancel semantics of FindMSFContext.
-func FindConnectedComponentsContext(ctx context.Context, g *Graph, opts Options) (*CCResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*CCResult, error) { return FindConnectedComponents(g, opts) })
 }
 
 // SSSPResult holds shortest-path distances from a source.
@@ -113,15 +91,6 @@ func SSSP(g *Graph, opts Options, source int32) (*SSSPResult, error) {
 	}, nil
 }
 
-// SSSPContext is SSSP bounded by a context, with the abandon-on-cancel
-// semantics of FindMSFContext.
-func SSSPContext(ctx context.Context, g *Graph, opts Options, source int32) (*SSSPResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*SSSPResult, error) { return SSSP(g, opts, source) })
-}
-
 // PageRankResult holds converged PageRank scores.
 type PageRankResult struct {
 	Ranks       []float64
@@ -144,15 +113,6 @@ func PageRank(g *Graph, opts Options, damping, tol float64, maxIter int) (*PageR
 		SimSeconds:  res.Report.ExecutionTime(),
 		CommSeconds: res.Report.CommTime(),
 	}, nil
-}
-
-// PageRankContext is PageRank bounded by a context, with the
-// abandon-on-cancel semantics of FindMSFContext.
-func PageRankContext(ctx context.Context, g *Graph, opts Options, damping, tol float64, maxIter int) (*PageRankResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*PageRankResult, error) { return PageRank(g, opts, damping, tol, maxIter) })
 }
 
 // ColoringResult is a proper vertex coloring.
@@ -182,13 +142,4 @@ func Coloring(g *Graph, opts Options, seed int64) (*ColoringResult, error) {
 		SimSeconds:  res.Report.ExecutionTime(),
 		CommSeconds: res.Report.CommTime(),
 	}, nil
-}
-
-// ColoringContext is Coloring bounded by a context, with the
-// abandon-on-cancel semantics of FindMSFContext.
-func ColoringContext(ctx context.Context, g *Graph, opts Options, seed int64) (*ColoringResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return runCtx(ctx, func() (*ColoringResult, error) { return Coloring(g, opts, seed) })
 }

@@ -51,7 +51,7 @@ func run(argv []string) int {
 		scenarios = fs.String("scenarios", "", "regexp selecting scenarios to run (default all)")
 		out       = fs.String("out", "", "write the record to this file (default stdout)")
 		reps      = fs.Int("reps", 5, "wall mode: timed repetitions per scenario")
-		warmup    = fs.Int("warmup", 1, "wall mode: untimed warmup runs per scenario")
+		warmup    = fs.Int("warmup", 1, "wall mode: untimed warmup runs per scenario (values below 1 run one)")
 		compare   = fs.String("compare", "", "baseline file to gate against")
 		current   = fs.String("current", "", "with -compare: pre-recorded current file instead of running the suite")
 		tol       = fs.Float64("tol", schema.DefaultWallPct, "with -compare: wall-mode tolerance band (fraction, e.g. 0.25)")

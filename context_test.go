@@ -31,7 +31,7 @@ func TestFindMSFContextMatchesPlain(t *testing.T) {
 }
 
 // TestFindMSFContextCanceled checks an already-dead context is rejected
-// before any work starts, for both MSF entry points and the app wrappers.
+// before any work starts, for both MSF entry points.
 func TestFindMSFContextCanceled(t *testing.T) {
 	g := GenerateRoadNetwork(500, 7)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -41,21 +41,6 @@ func TestFindMSFContextCanceled(t *testing.T) {
 	}
 	if _, err := FindMSFBSPContext(ctx, g, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("FindMSFBSPContext error = %v, want context.Canceled", err)
-	}
-	if _, err := BFSContext(ctx, g, Options{}, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BFSContext error = %v, want context.Canceled", err)
-	}
-	if _, err := SSSPContext(ctx, g, Options{}, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SSSPContext error = %v, want context.Canceled", err)
-	}
-	if _, err := PageRankContext(ctx, g, Options{}, 0.85, 1e-8, 10); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PageRankContext error = %v, want context.Canceled", err)
-	}
-	if _, err := ColoringContext(ctx, g, Options{}, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ColoringContext error = %v, want context.Canceled", err)
-	}
-	if _, err := FindConnectedComponentsContext(ctx, g, Options{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("FindConnectedComponentsContext error = %v, want context.Canceled", err)
 	}
 }
 

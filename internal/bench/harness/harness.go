@@ -50,7 +50,8 @@ type Config struct {
 	// Filter, when non-nil, selects the scenarios to run by name.
 	Filter *regexp.Regexp
 	// Reps and Warmup govern wall mode: Warmup untimed runs, then Reps
-	// timed runs reduced by IQR-filtered minimum (defaults 1 and 5).
+	// timed runs reduced by IQR-filtered minimum (defaults 5 and 1; a
+	// Warmup below 1 runs one).
 	Reps, Warmup int
 	// Logf, when non-nil, receives one progress line per scenario.
 	Logf func(format string, args ...any)
@@ -69,9 +70,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Reps <= 0 {
 		c.Reps = 5
 	}
-	if c.Warmup < 0 {
-		c.Warmup = 1
-	} else if c.Warmup == 0 {
+	if c.Warmup < 1 {
 		c.Warmup = 1
 	}
 	return c, nil

@@ -69,6 +69,17 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestWithDefaultsClampsWarmup: wall mode always runs at least one
+// warmup, and an explicit count is kept.
+func TestWithDefaultsClampsWarmup(t *testing.T) {
+	for in, want := range map[int]int{-3: 1, 0: 1, 1: 1, 4: 4} {
+		c, err := Config{Warmup: in}.withDefaults()
+		if err != nil || c.Warmup != want {
+			t.Fatalf("Warmup %d: got %d (err %v), want %d", in, c.Warmup, err, want)
+		}
+	}
+}
+
 func TestNamesAreUniqueAndStable(t *testing.T) {
 	names := Names()
 	if len(names) < 20 {

@@ -142,10 +142,10 @@ func TestAllreduceAndBarrier(t *testing.T) {
 func TestMachineProfiles(t *testing.T) {
 	amd := AMDCluster()
 	cray := CrayXC40()
-	if amd.HasGPU() {
+	if amd.GPU != nil {
 		t.Fatal("AMD cluster must be CPU-only")
 	}
-	if !cray.HasGPU() {
+	if cray.GPU == nil {
 		t.Fatal("Cray must have a GPU")
 	}
 	if amd.CPU.Cores != 8 || cray.CPU.Cores != 12 {

@@ -58,10 +58,6 @@ func (c *Concurrent) Find(x int32) int32 {
 	}
 }
 
-// SameNow reports whether a and b currently share a root. Under concurrent
-// modification the answer is a snapshot.
-func (c *Concurrent) SameNow(a, b int32) bool { return c.Find(a) == c.Find(b) }
-
 // Hook makes root a child of under, succeeding only if a is still a root.
 // Returns true on success. Symmetry breaking (e.g. only hooking the larger
 // root under the smaller) is the caller's responsibility.

@@ -97,7 +97,7 @@ func TestConcurrentParallelUnionsMatchSequential(t *testing.T) {
 	wg.Wait()
 	con.Flatten()
 
-	if got, want := con.CountSets(), seq.Sets(); got != want {
+	if got, want := con.CountSets(), countSets(seq); got != want {
 		t.Fatalf("concurrent sets=%d sequential sets=%d", got, want)
 	}
 	// Same partition: representative-to-representative mapping must be a
@@ -146,7 +146,7 @@ func TestConcurrentPartitionProperty(t *testing.T) {
 		c.Flatten()
 		for x := int32(0); x < int32(n); x++ {
 			for y := int32(0); y < int32(n); y++ {
-				if c.SameNow(x, y) != d.Same(x, y) {
+				if (c.Find(x) == c.Find(y)) != d.Same(x, y) {
 					return false
 				}
 			}

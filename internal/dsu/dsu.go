@@ -12,7 +12,6 @@ package dsu
 type DSU struct {
 	parent []int32
 	rank   []int8
-	sets   int32
 }
 
 // New creates a DSU over n singleton elements.
@@ -20,7 +19,6 @@ func New(n int) *DSU {
 	d := &DSU{
 		parent: make([]int32, n),
 		rank:   make([]int8, n),
-		sets:   int32(n),
 	}
 	for i := range d.parent {
 		d.parent[i] = int32(i)
@@ -52,15 +50,11 @@ func (d *DSU) Union(a, b int32) bool {
 	if d.rank[ra] == d.rank[rb] {
 		d.rank[ra]++
 	}
-	d.sets--
 	return true
 }
 
 // Same reports whether a and b are in the same set.
 func (d *DSU) Same(a, b int32) bool { return d.Find(a) == d.Find(b) }
-
-// Sets reports the current number of disjoint sets.
-func (d *DSU) Sets() int { return int(d.sets) }
 
 // Len reports the number of elements.
 func (d *DSU) Len() int { return len(d.parent) }

@@ -71,28 +71,6 @@ func MustBuildCSR(el *EdgeList) *CSR {
 	return g
 }
 
-// ToEdgeList reconstructs the canonical edge list from a CSR. Each
-// undirected edge is emitted once (from the arc whose tail is the smaller
-// endpoint; self-loops from either identical arc once). Edge ids are
-// renumbered to positions.
-func (g *CSR) ToEdgeList() *EdgeList {
-	seen := make([]bool, g.M)
-	el := &EdgeList{N: g.N, Edges: make([]Edge, 0, g.M)}
-	for u := int32(0); u < g.N; u++ {
-		lo, hi := g.Arcs(u)
-		for a := lo; a < hi; a++ {
-			v := g.Dst[a]
-			eid := g.EID[a]
-			if seen[eid] {
-				continue
-			}
-			seen[eid] = true
-			el.Edges = append(el.Edges, Edge{U: u, V: v, W: g.W[a], ID: int32(len(el.Edges))})
-		}
-	}
-	return el
-}
-
 // TotalWeight sums all edge weights of the list.
 func (el *EdgeList) TotalWeight() uint64 {
 	var s uint64

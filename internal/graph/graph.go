@@ -94,9 +94,3 @@ func (g *CSR) Degree(u int32) int64 { return g.Offsets[u+1] - g.Offsets[u] }
 
 // Arcs returns the arc index range [lo, hi) of vertex u.
 func (g *CSR) Arcs(u int32) (lo, hi int64) { return g.Offsets[u], g.Offsets[u+1] }
-
-// EdgeEndpoints recovers the canonical endpoints of undirected edge eid by
-// scanning u's arcs is not possible from CSR alone; callers that need them
-// keep the originating EdgeList. This accessor exists for the common case
-// where the arc is at hand: it returns the (src, dst) of arc a given src.
-func (g *CSR) ArcHead(a int64) int32 { return g.Dst[a] }

@@ -14,22 +14,3 @@ package graph
 // graph by the embedded edge id) exactly one of WeightLess(a, b),
 // WeightLess(b, a) holds for a != b.
 func WeightLess(a, b uint64) bool { return a < b }
-
-// WeightMax returns the later of two packed weights in the canonical
-// order.
-func WeightMax(a, b uint64) uint64 {
-	if WeightLess(a, b) {
-		return b
-	}
-	return a
-}
-
-// EdgeLess orders edges by packed weight, falling back to the canonical
-// edge id for (impossible within one graph, but safe across graphs) weight
-// ties. It is the comparator for every edge sort on the data path.
-func EdgeLess(a, b Edge) bool {
-	if a.W != b.W {
-		return WeightLess(a.W, b.W)
-	}
-	return a.ID < b.ID
-}

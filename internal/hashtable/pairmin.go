@@ -1,3 +1,9 @@
+// Package hashtable implements the pair-min table of §3.3: the concurrent
+// hash table that keeps the lightest edge between every pair of
+// components during multi-edge removal. It is sharded for parallel updates
+// and counts its operations so the device cost models can charge for hash
+// work. (The §3.1 ghostList is priced by partition.BuildGhostList rather
+// than built: nothing reads it.)
 package hashtable
 
 import (
@@ -18,11 +24,6 @@ func MakePairKey(a, b int32) PairKey {
 		a, b = b, a
 	}
 	return PairKey(uint64(uint32(a))<<32 | uint64(uint32(b)))
-}
-
-// Unpack returns the pair (smaller, larger).
-func (k PairKey) Unpack() (int32, int32) {
-	return int32(uint32(k >> 32)), int32(uint32(k))
 }
 
 const pairShards = 64

@@ -12,6 +12,7 @@ import (
 	"mndmst/internal/graph"
 	"mndmst/internal/merge"
 	"mndmst/internal/mst"
+	"mndmst/internal/testutil"
 	"mndmst/internal/wire"
 )
 
@@ -246,6 +247,147 @@ func TestSplitByShares(t *testing.T) {
 	zero := splitByShares(owned, edges, []float64{0, 0})
 	if len(zero[0]) != 4 {
 		t.Fatalf("zero shares should keep everything on device 0: %v", zero)
+	}
+}
+
+// TestSplitBySharesMonotoneInRatio sweeps the accelerator share upward
+// over random graphs and owned sets: the segments always tile owned
+// exactly (in order, no vertex lost or repeated), and a larger accelerator
+// share never gives the CPU segment more vertices.
+func TestSplitBySharesMonotoneInRatio(t *testing.T) {
+	rng := testutil.Rand(t, 4101)
+	gpuShares := []float64{0, 0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 1}
+	for trial := 0; trial < 40; trial++ {
+		n := int32(8 + rng.Intn(200))
+		el := gen.ErdosRenyi(n, int(n)*(1+rng.Intn(4)), rng.Int63())
+		edges := toWire(el)
+		var owned []int32
+		for v := int32(0); v < n; v++ {
+			if rng.Intn(4) != 0 {
+				owned = append(owned, v)
+			}
+		}
+		prevCPU := len(owned) + 1
+		for _, g := range gpuShares {
+			sets := splitByShares(owned, edges, []float64{1 - g, g})
+			var tiled []int32
+			for _, set := range sets {
+				tiled = append(tiled, set...)
+			}
+			if fmt.Sprint(tiled) != fmt.Sprint(owned) {
+				t.Fatalf("trial %d share=%.2f: segments %v do not tile owned %v", trial, g, sets, owned)
+			}
+			if len(sets[0]) > prevCPU {
+				t.Fatalf("trial %d: share %.2f gave the CPU %d vertices, more than %d at a smaller share",
+					trial, g, len(sets[0]), prevCPU)
+			}
+			prevCPU = len(sets[0])
+		}
+	}
+}
+
+// TestSplitBySharesRanges: on a skewed graph an even split gives two
+// contiguous, adjacent vertex ranges that together cover owned, every edge
+// reaches at least one device, and a degenerate share keeps the work on
+// one device.
+func TestSplitBySharesRanges(t *testing.T) {
+	el := gen.RMAT(256, 2048, 47)
+	edges := toWire(el)
+	owned := allIDs(el.N)
+	sets := splitByShares(owned, edges, []float64{0.5, 0.5})
+	if len(sets) != 2 || len(sets[0]) == 0 || len(sets[1]) == 0 {
+		t.Fatalf("even split degenerated: %d segments", len(sets))
+	}
+	next := owned[0]
+	for dev, set := range sets {
+		for _, v := range set {
+			if v != next {
+				t.Fatalf("device %d range not contiguous: got vertex %d, want %d", dev, v, next)
+			}
+			next++
+		}
+	}
+	if next != el.N {
+		t.Fatalf("ranges end at %d, want %d", next, el.N)
+	}
+	seen := make(map[int32]int)
+	for _, dev := range deviceEdgesMulti(edges, sets) {
+		for _, e := range dev {
+			seen[e.ID]++
+		}
+	}
+	for _, e := range edges {
+		if seen[e.ID] < 1 {
+			t.Fatalf("edge %d lost in split", e.ID)
+		}
+	}
+	// The split balances edges, so at share 0 the accelerator may still
+	// take trailing isolated vertices, but never an edge.
+	if cpu := deviceEdgesMulti(edges, splitByShares(owned, edges, []float64{1, 0})); len(cpu[0]) != len(edges) || len(cpu[1]) != 0 {
+		t.Fatalf("accelerator share 0 should keep every edge on the CPU: %d+%d of %d", len(cpu[0]), len(cpu[1]), len(edges))
+	}
+	if gpu := splitByShares(owned, edges, []float64{0, 1}); len(gpu[0]) != 0 || len(gpu[1]) != len(owned) {
+		t.Fatalf("accelerator share 1 should move everything to the accelerator: %d+%d", len(gpu[0]), len(gpu[1]))
+	}
+}
+
+// TestSplitBySharesCutEdgesInBothDevices pins the device-cut contract of
+// the live split: after splitByShares and deviceEdgesMulti, an edge inside
+// one segment reaches exactly that device and an edge crossing segments
+// reaches both (a device-level ghost edge), so no edge is lost. Degenerate
+// shares send every edge to one device.
+func TestSplitBySharesCutEdgesInBothDevices(t *testing.T) {
+	rng := testutil.Rand(t, 4102)
+	for trial := 0; trial < 20; trial++ {
+		n := int32(8 + rng.Intn(200))
+		el := gen.ErdosRenyi(n, int(n)*(1+rng.Intn(4)), rng.Int63())
+		edges := toWire(el)
+		owned := allIDs(n)
+		sets := splitByShares(owned, edges, []float64{0.5, 0.5})
+		if len(sets[0]) == 0 || len(sets[1]) == 0 {
+			t.Fatalf("trial %d: 0.5 split degenerated: %d+%d", trial, len(sets[0]), len(sets[1]))
+		}
+		split := sets[1][0]
+		out := deviceEdgesMulti(edges, sets)
+		seen := make(map[int32]int)
+		for _, dev := range out {
+			for _, e := range dev {
+				seen[e.ID]++
+			}
+		}
+		for _, e := range edges {
+			want := 1
+			if (e.U < split) != (e.V < split) {
+				want = 2
+			}
+			if seen[e.ID] != want {
+				t.Fatalf("trial %d: edge %d (u=%d v=%d, split %d) reaches %d devices, want %d",
+					trial, e.ID, e.U, e.V, split, seen[e.ID], want)
+			}
+		}
+		for dev, shares := range [][]float64{{1, 0}, {0, 1}} {
+			out := deviceEdgesMulti(edges, splitByShares(owned, edges, shares))
+			if len(out[dev]) != len(edges) || len(out[1-dev]) != 0 {
+				t.Fatalf("trial %d: shares %v sent %d+%d of %d edges, want all to device %d",
+					trial, shares, len(out[0]), len(out[1]), len(edges), dev)
+			}
+		}
+	}
+}
+
+// TestSplitBySharesBalance: the accelerator segment carries roughly its
+// share of the node's edges.
+func TestSplitBySharesBalance(t *testing.T) {
+	el := gen.ErdosRenyi(1000, 20000, 51)
+	edges := toWire(el)
+	sets := splitByShares(allIDs(el.N), edges, []float64{0.75, 0.25})
+	out := deviceEdgesMulti(edges, sets)
+	frac := float64(len(out[1])) / float64(len(edges))
+	if frac < 0.1 || frac > 0.5 {
+		t.Fatalf("accelerator holds %.3f of the edges, want ~0.25", frac)
+	}
+	if len(out[0]) == 0 {
+		t.Fatal("cpu segment empty")
 	}
 }
 

@@ -350,20 +350,6 @@ func ExchangeSegments(r *cluster.Rank, sendTo, recvFrom int, p Payload, chunk in
 	return decodePayload(buf)
 }
 
-// SendPayload ships a component transfer to dst in chunks (asynchronous).
-func SendPayload(r *cluster.Rank, dst int, p Payload, chunk int) {
-	sendChunked(r, dst, tagSegment, encodePayload(p), chunk)
-}
-
-// RecvPayload receives a component transfer from src.
-func RecvPayload(r *cluster.Rank, src int, chunk int) (Payload, error) {
-	buf, err := recvChunked(r, src, tagSegment)
-	if err != nil {
-		return Payload{}, err
-	}
-	return decodePayload(buf)
-}
-
 // SendToLeader ships everything a rank owns to its group leader. The send
 // is asynchronous: members enqueue and move on to the next collective while
 // the leader — which only receives during a gather, so it always makes

@@ -199,10 +199,10 @@ func TestChunkedEdgeCasesBothBackends(t *testing.T) {
 		runChunkedCase(t, "chunk-size-mismatch", func(r *cluster.Rank) error {
 			want := Payload{Comps: []int32{1, 2, 3, 4, 5}, Edges: []wire.WEdge{{U: 1, V: 2, W: 9, ID: 4}}}
 			if r.ID() == 0 {
-				SendPayload(r, 1, want, 8) // tiny sender chunks
+				SendToLeader(r, 1, want, 8) // tiny sender chunks
 				return nil
 			}
-			got, err := RecvPayload(r, 0, 1<<20) // huge receiver chunk hint
+			got, err := RecvFromMember(r, 0, 1<<20) // huge receiver chunk hint
 			if err != nil {
 				return err
 			}

@@ -158,15 +158,9 @@ func Boruvka(el *graph.EdgeList) *Forest {
 		if !found {
 			break
 		}
-		for r, bi := range best {
-			if bi < 0 || d.Find(int32(r)) != int32(r) {
-				// Either no outgoing edge or this root was absorbed earlier
-				// in this contraction sweep; its best edge may already be
-				// taken via the other endpoint, which is fine: we re-check
-				// with Union below when visiting that endpoint's root.
-				if bi < 0 {
-					continue
-				}
+		for _, bi := range best {
+			if bi < 0 {
+				continue
 			}
 			e := &el.Edges[bi]
 			if d.Union(e.U, e.V) {

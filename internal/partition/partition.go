@@ -2,8 +2,8 @@
 // a Gemini-style parallel read where every rank computes the degrees of a
 // provisional vertex slice, the ranks allreduce the degree vector, and each
 // derives the same contiguous 1D partition balanced by edge count. The
-// package also builds the per-rank ghostList hash table describing cut
-// edges, and the within-node CPU/GPU split of §3.1 ¶2.
+// package also prices the per-rank ghostList of cut edges; the
+// within-node CPU/GPU split of §3.1 ¶2 lives in hypar.
 package partition
 
 import (
@@ -13,7 +13,6 @@ import (
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/graph"
-	"mndmst/internal/hashtable"
 	"mndmst/internal/wire"
 )
 
@@ -24,15 +23,12 @@ type Part struct {
 	Lo, Hi int32
 	Edges  []wire.WEdge
 	// Bounds are the global partition boundaries (len P+1), identical on
-	// every rank; Owner lookups use them.
+	// every rank; OwnerOf lookups use them.
 	Bounds []int32
 }
 
 // NumOwned reports the number of owned vertices.
 func (p *Part) NumOwned() int { return int(p.Hi - p.Lo) }
-
-// Owner returns the rank owning global vertex v.
-func (p *Part) Owner(v int32) int { return OwnerOf(p.Bounds, v) }
 
 // OwnerOf locates v's owner by binary search over the shared bounds.
 func OwnerOf(bounds []int32, v int32) int {
@@ -134,17 +130,12 @@ const (
 // its device model. All ranks must call Read collectively with the same
 // graph.
 func Read(r *cluster.Rank, g *graph.CSR) (*Part, cost.Work) {
-	return ReadWith(r, g, ByDegree)
+	return ReadWeighted(r, g, ByDegree, nil)
 }
 
-// ReadWith is Read with an explicit partitioning strategy.
-func ReadWith(r *cluster.Rank, g *graph.CSR, strat Strategy) (*Part, cost.Work) {
-	return ReadWeighted(r, g, strat, nil)
-}
-
-// ReadWeighted is ReadWith with optional per-rank speed weights for
-// heterogeneous clusters: faster ranks receive proportionally more degree
-// mass.
+// ReadWeighted is Read with an explicit partitioning strategy and optional
+// per-rank speed weights for heterogeneous clusters: faster ranks receive
+// proportionally more degree mass.
 func ReadWeighted(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float64) (*Part, cost.Work) {
 	var w cost.Work
 	p := r.P()
@@ -183,81 +174,21 @@ func ReadWeighted(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float6
 	return part, w
 }
 
-// BuildGhostList scans the part's edges and files every cut edge under the
-// owning rank of its ghost endpoint, building the ghostList of §3.1. It
-// returns the list plus the hash work performed.
-func BuildGhostList(part *Part) (*hashtable.GhostList, cost.Work) {
-	gl := hashtable.NewGhostList()
+// BuildGhostList prices the per-rank ghostList of §3.1 without building
+// it: the merge step derives its own boundary set, so nothing reads the
+// list, but the cost model still charges the hash insert that files each
+// cut edge under its ghost endpoint's owner. It returns the number of cut
+// edges (exactly one owned endpoint) and that work.
+func BuildGhostList(part *Part) (cutEdges int, w cost.Work) {
 	for _, e := range part.Edges {
 		uIn := e.U >= part.Lo && e.U < part.Hi
 		vIn := e.V >= part.Lo && e.V < part.Hi
-		switch {
-		case uIn && vIn:
-			continue
-		case uIn:
-			gl.Add(int32(part.Owner(e.V)), hashtable.GhostEdge{Local: e.U, Ghost: e.V, W: e.W, EID: e.ID})
-		case vIn:
-			gl.Add(int32(part.Owner(e.U)), hashtable.GhostEdge{Local: e.V, Ghost: e.U, W: e.W, EID: e.ID})
-		default:
+		if !uIn && !vIn {
 			panic(fmt.Sprintf("partition: edge %d (%d-%d) not owned by [%d,%d)", e.ID, e.U, e.V, part.Lo, part.Hi))
 		}
-	}
-	return gl, cost.Work{HashOps: gl.Ops(), EdgesScanned: int64(len(part.Edges))}
-}
-
-// DeviceSplit divides a node's owned range between CPU and GPU by the
-// measured performance ratio (§3.1 ¶2, §4.3.1): the GPU receives
-// gpuShare ∈ [0,1] of the owned edges via a further contiguous 1D split.
-// Edges crossing the split become device-level cut edges present in both
-// halves. Returns the CPU part and the GPU part.
-func DeviceSplit(part *Part, gpuShare float64) (cpuPart, gpuPart *Part) {
-	if gpuShare <= 0 {
-		return part, nil
-	}
-	if gpuShare >= 1 {
-		return nil, part
-	}
-	// Count owned-endpoint incidences per vertex to find the split point.
-	n := part.NumOwned()
-	inc := make([]int64, n)
-	for _, e := range part.Edges {
-		if e.U >= part.Lo && e.U < part.Hi {
-			inc[e.U-part.Lo]++
-		}
-		if e.V >= part.Lo && e.V < part.Hi && e.V != e.U {
-			inc[e.V-part.Lo]++
+		if uIn != vIn {
+			cutEdges++
 		}
 	}
-	var total int64
-	for _, c := range inc {
-		total += c
-	}
-	target := int64(float64(total) * (1 - gpuShare)) // CPU takes the prefix
-	var run int64
-	split := part.Lo
-	for v := 0; v < n; v++ {
-		if run >= target {
-			break
-		}
-		run += inc[v]
-		split = part.Lo + int32(v) + 1
-	}
-	if split <= part.Lo {
-		split = part.Lo + 1
-	}
-	if split >= part.Hi {
-		split = part.Hi - 1
-	}
-	mk := func(lo, hi int32) *Part {
-		sub := &Part{Lo: lo, Hi: hi, Bounds: part.Bounds}
-		for _, e := range part.Edges {
-			uIn := e.U >= lo && e.U < hi
-			vIn := e.V >= lo && e.V < hi
-			if uIn || vIn {
-				sub.Edges = append(sub.Edges, e)
-			}
-		}
-		return sub
-	}
-	return mk(part.Lo, split), mk(split, part.Hi)
+	return cutEdges, cost.Work{HashOps: int64(cutEdges), EdgesScanned: int64(len(part.Edges))}
 }

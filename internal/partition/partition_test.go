@@ -10,6 +10,7 @@ import (
 	"mndmst/internal/gen"
 	"mndmst/internal/graph"
 	"mndmst/internal/testutil"
+	"mndmst/internal/wire"
 )
 
 func testComm() cost.CommModel { return cost.CommModel{Latency: 1e-6, Bandwidth: 1e9} }
@@ -163,31 +164,61 @@ func TestReadBalancesEdges(t *testing.T) {
 	}
 }
 
+// TestReadWeightedStrategies: ByVertex cuts equal vertex counts, speed
+// weights route to WeightedBounds, and every rank's part owns exactly its
+// bounds.
+func TestReadWeightedStrategies(t *testing.T) {
+	el := gen.RMAT(256, 2048, 49)
+	g := graph.MustBuildCSR(el)
+	const p = 4
+	degrees := make([]int64, g.N)
+	for v := range degrees {
+		degrees[v] = g.Degree(int32(v))
+	}
+	speeds := []float64{1, 2, 1, 4}
+	for _, tc := range []struct {
+		name   string
+		strat  Strategy
+		speeds []float64
+		want   []int32
+	}{
+		{"by-vertex", ByVertex, nil, []int32{0, 64, 128, 192, 256}},
+		{"weighted", ByDegree, speeds, WeightedBounds(degrees, speeds)},
+		{"speeds-wrong-length", ByDegree, speeds[:2], BalancedBounds(degrees, p)},
+	} {
+		c := cluster.New(p, testComm())
+		_, err := c.Run(func(r *cluster.Rank) error {
+			part, _ := ReadWeighted(r, g, tc.strat, tc.speeds)
+			if fmt.Sprint(part.Bounds) != fmt.Sprint(tc.want) {
+				return fmt.Errorf("bounds %v want %v", part.Bounds, tc.want)
+			}
+			lo, hi := tc.want[r.ID()], tc.want[r.ID()+1]
+			if part.Lo != lo || part.Hi != hi || part.NumOwned() != int(hi-lo) {
+				return fmt.Errorf("rank %d owns [%d,%d) (%d), want [%d,%d)",
+					r.ID(), part.Lo, part.Hi, part.NumOwned(), lo, hi)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}
+
 func TestBuildGhostList(t *testing.T) {
-	// Path 0-1-2-3 split at 2: rank owning {0,1} has one cut edge to
-	// owner of {2,3}.
+	// Path 0-1-2-3 split at 2: each rank owns two vertices, holds two
+	// edges, and one of them (1-2) is cut.
 	el := gen.Path(4, 3)
 	g := graph.MustBuildCSR(el)
 	c := cluster.New(2, testComm())
 	_, err := c.Run(func(r *cluster.Rank) error {
 		part, _ := Read(r, g)
-		gl, w := BuildGhostList(part)
-		if gl.Len() != 1 {
-			return fmt.Errorf("rank %d: ghost edges=%d want 1", r.ID(), gl.Len())
+		cut, w := BuildGhostList(part)
+		if cut != 1 {
+			return fmt.Errorf("rank %d: cut edges=%d want 1", r.ID(), cut)
 		}
-		other := 1 - r.ID()
-		ge := gl.ForProc(int32(other))
-		if len(ge) != 1 {
-			return fmt.Errorf("rank %d: no ghosts for %d", r.ID(), other)
-		}
-		if ge[0].Local < part.Lo || ge[0].Local >= part.Hi {
-			return fmt.Errorf("local endpoint %d outside [%d,%d)", ge[0].Local, part.Lo, part.Hi)
-		}
-		if ge[0].Ghost >= part.Lo && ge[0].Ghost < part.Hi {
-			return fmt.Errorf("ghost endpoint %d inside own range", ge[0].Ghost)
-		}
-		if w.HashOps == 0 {
-			return fmt.Errorf("hash work not counted")
+		if want := (cost.Work{HashOps: 1, EdgesScanned: 2}); w != want {
+			return fmt.Errorf("rank %d: work %+v want %+v", r.ID(), w, want)
 		}
 		return nil
 	})
@@ -196,66 +227,51 @@ func TestBuildGhostList(t *testing.T) {
 	}
 }
 
-func TestDeviceSplit(t *testing.T) {
-	el := gen.RMAT(256, 2048, 47)
+// TestBuildGhostListRandom prices the ghostList on a random graph: every
+// rank charges one hash op per edge with exactly one owned endpoint and
+// scans every edge of its part.
+func TestBuildGhostListRandom(t *testing.T) {
+	el := gen.ErdosRenyi(500, 4000, 53)
 	g := graph.MustBuildCSR(el)
-	c := cluster.New(1, testComm())
+	const p = 3
+	cuts := make([]int, p)
+	c := cluster.New(p, testComm())
 	_, err := c.Run(func(r *cluster.Rank) error {
 		part, _ := Read(r, g)
-		cpu, gpu := DeviceSplit(part, 0.5)
-		if cpu == nil || gpu == nil {
-			return fmt.Errorf("split returned nil part")
-		}
-		if cpu.Hi != gpu.Lo || cpu.Lo != part.Lo || gpu.Hi != part.Hi {
-			return fmt.Errorf("ranges wrong: cpu [%d,%d) gpu [%d,%d)", cpu.Lo, cpu.Hi, gpu.Lo, gpu.Hi)
-		}
-		// Every original edge is in at least one half, cross edges in both.
-		seen := map[int32]int{}
-		for _, e := range cpu.Edges {
-			seen[e.ID]++
-		}
-		for _, e := range gpu.Edges {
-			seen[e.ID]++
-		}
-		for _, e := range part.Edges {
-			if seen[e.ID] < 1 {
-				return fmt.Errorf("edge %d lost in split", e.ID)
+		var want int64
+		for _, e := range el.Edges {
+			uIn := e.U >= part.Lo && e.U < part.Hi
+			vIn := e.V >= part.Lo && e.V < part.Hi
+			if uIn != vIn {
+				want++
 			}
 		}
-		// Degenerate shares return the whole part on one device.
-		c2, g2 := DeviceSplit(part, 0)
-		if c2 != part || g2 != nil {
-			return fmt.Errorf("gpuShare=0 should keep everything on CPU")
+		cut, w := BuildGhostList(part)
+		cuts[r.ID()] = cut
+		if int64(cut) != want || w.HashOps != want {
+			return fmt.Errorf("rank %d: cut=%d hashOps=%d want %d", r.ID(), cut, w.HashOps, want)
 		}
-		c3, g3 := DeviceSplit(part, 1)
-		if c3 != nil || g3 != part {
-			return fmt.Errorf("gpuShare=1 should move everything to GPU")
+		if want := (cost.Work{HashOps: want, EdgesScanned: int64(len(part.Edges))}); w != want {
+			return fmt.Errorf("rank %d: work %+v want %+v", r.ID(), w, want)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cuts[0] == 0 || cuts[p-1] == 0 {
+		t.Fatalf("random graph produced no cut edges: %v", cuts)
 	}
 }
 
-func TestDeviceSplitBalance(t *testing.T) {
-	el := gen.ErdosRenyi(1000, 20000, 51)
-	g := graph.MustBuildCSR(el)
-	c := cluster.New(1, testComm())
-	_, err := c.Run(func(r *cluster.Rank) error {
-		part, _ := Read(r, g)
-		cpu, gpu := DeviceSplit(part, 0.25)
-		// GPU should hold roughly a quarter of the edges (within 2x).
-		frac := float64(len(gpu.Edges)) / float64(len(part.Edges))
-		if frac < 0.1 || frac > 0.5 {
-			return fmt.Errorf("gpu fraction %f want ~0.25", frac)
+// TestBuildGhostListForeignEdgePanics: an edge with no owned endpoint is
+// a partitioning bug, not a cut edge.
+func TestBuildGhostListForeignEdgePanics(t *testing.T) {
+	part := &Part{Lo: 0, Hi: 2, Bounds: []int32{0, 2, 4}, Edges: []wire.WEdge{{U: 2, V: 3}}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("foreign edge did not panic")
 		}
-		if len(cpu.Edges) == 0 {
-			return fmt.Errorf("cpu empty")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}()
+	BuildGhostList(part)
 }

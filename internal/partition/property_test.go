@@ -5,15 +5,12 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mndmst/internal/gen"
 	"mndmst/internal/testutil"
-	"mndmst/internal/wire"
 )
 
 // Property suite for the 1D partitioner: edge-balanced cuts must assign
 // every vertex to exactly one rank (whole-vertex boundaries — a vertex's
-// owned range is never split between ranks), and the within-node CPU:GPU
-// split must move monotonically with the performance ratio.
+// owned range is never split between ranks).
 
 // checkWholeVertexCover asserts bounds is a monotone whole-vertex cover of
 // [0, n): b[0]=0, b[p]=n, nondecreasing, and OwnerOf places every vertex
@@ -96,117 +93,5 @@ func TestWeightedBoundsNeverSplitVertex(t *testing.T) {
 	}
 	if err := quick.Check(f, testutil.Quick(t, 1, 100)); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// randomPart builds one rank's Part directly from a generated graph: the
-// full vertex range owned by a single rank, every edge present.
-func randomPart(rng *rand.Rand) *Part {
-	n := int32(8 + rng.Intn(200))
-	m := int(n) * (1 + rng.Intn(4))
-	el := gen.ErdosRenyi(n, m, rng.Int63())
-	part := &Part{Lo: 0, Hi: n, Bounds: []int32{0, n}}
-	for _, e := range el.Edges {
-		part.Edges = append(part.Edges, wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID})
-	}
-	return part
-}
-
-// splitPoint reports where DeviceSplit put the CPU|GPU boundary for a
-// given ratio (part.Hi when the GPU got nothing, part.Lo when it got all).
-func splitPoint(part *Part, gpuShare float64) int32 {
-	cpu, gpu := DeviceSplit(part, gpuShare)
-	switch {
-	case gpu == nil:
-		return part.Hi
-	case cpu == nil:
-		return part.Lo
-	default:
-		return cpu.Hi
-	}
-}
-
-// TestDeviceSplitMonotoneInRatio sweeps the CPU:GPU ratio upward over
-// random parts: the split point must move monotonically toward the CPU
-// side (a faster GPU never receives fewer vertices), the two halves must
-// tile the owned range exactly (no vertex split across devices, none
-// lost), and every edge must land in the half(s) owning its endpoints.
-func TestDeviceSplitMonotoneInRatio(t *testing.T) {
-	rng := testutil.Rand(t, 4101)
-	shares := []float64{0, 0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 1}
-	for trial := 0; trial < 40; trial++ {
-		part := randomPart(rng)
-		prev := part.Hi + 1
-		for _, share := range shares {
-			sp := splitPoint(part, share)
-			if sp > prev {
-				t.Fatalf("trial %d: split point moved backwards: share=%.2f split=%d after %d",
-					trial, share, sp, prev)
-			}
-			prev = sp
-
-			cpu, gpu := DeviceSplit(part, share)
-			if cpu != nil && gpu != nil {
-				if cpu.Lo != part.Lo || gpu.Hi != part.Hi || cpu.Hi != gpu.Lo {
-					t.Fatalf("trial %d share=%.2f: halves [%d,%d)+[%d,%d) do not tile [%d,%d)",
-						trial, share, cpu.Lo, cpu.Hi, gpu.Lo, gpu.Hi, part.Lo, part.Hi)
-				}
-				if cpu.NumOwned()+gpu.NumOwned() != part.NumOwned() {
-					t.Fatalf("trial %d share=%.2f: owned vertices split or lost", trial, share)
-				}
-			}
-			for _, half := range []*Part{cpu, gpu} {
-				if half == nil {
-					continue
-				}
-				for _, e := range half.Edges {
-					uIn := e.U >= half.Lo && e.U < half.Hi
-					vIn := e.V >= half.Lo && e.V < half.Hi
-					if !uIn && !vIn {
-						t.Fatalf("trial %d share=%.2f: half [%d,%d) holds foreign edge %+v",
-							trial, share, half.Lo, half.Hi, e)
-					}
-				}
-			}
-		}
-		// Endpoints of the sweep: share 0 is CPU-only, share 1 GPU-only.
-		if _, gpu := DeviceSplit(part, 0); gpu != nil {
-			t.Fatalf("trial %d: share 0 still gave the GPU vertices", trial)
-		}
-		if cpu, _ := DeviceSplit(part, 1); cpu != nil {
-			t.Fatalf("trial %d: share 1 still gave the CPU vertices", trial)
-		}
-	}
-}
-
-// TestDeviceSplitCutEdgesPresentInBothHalves pins the device-cut contract:
-// an edge crossing the split appears in both device parts (it is a
-// device-level ghost edge), with multiplicity exactly two.
-func TestDeviceSplitCutEdgesPresentInBothHalves(t *testing.T) {
-	rng := testutil.Rand(t, 4102)
-	for trial := 0; trial < 20; trial++ {
-		part := randomPart(rng)
-		cpu, gpu := DeviceSplit(part, 0.5)
-		if cpu == nil || gpu == nil {
-			t.Fatalf("trial %d: 0.5 split degenerated", trial)
-		}
-		seen := make(map[int32]int)
-		for _, e := range cpu.Edges {
-			seen[e.ID]++
-		}
-		for _, e := range gpu.Edges {
-			seen[e.ID]++
-		}
-		for _, e := range part.Edges {
-			crossing := (e.U < cpu.Hi) != (e.V < cpu.Hi)
-			want := 1
-			if crossing {
-				want = 2
-			}
-			if seen[e.ID] != want {
-				t.Fatalf("trial %d: edge %d (u=%d v=%d, split %d) appears %d times, want %d",
-					trial, e.ID, e.U, e.V, cpu.Hi, seen[e.ID], want)
-			}
-		}
 	}
 }

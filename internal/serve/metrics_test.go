@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -42,7 +44,7 @@ func scrape(t *testing.T, url string) map[string]float64 {
 // job counts, cache counters, and last-run phase gauges must agree with
 // /v1/stats and with the trace records a direct library run produces.
 func TestMetricsMatchStatsAndTrace(t *testing.T) {
-	_, ts := newHTTPServer(t, Config{Workers: 2}, nil)
+	s, ts := newHTTPServer(t, Config{Workers: 2, GraphDir: t.TempDir()}, nil)
 
 	// Two identical jobs: one cold compute, one cache hit.
 	body := `{"graph":{"profile":"road_usa","scale":0.02},"options":{"nodes":2},"wait":true}`
@@ -52,6 +54,22 @@ func TestMetricsMatchStatsAndTrace(t *testing.T) {
 			t.Fatalf("job %d: %d: %s", i, resp.StatusCode, raw)
 		}
 	}
+	// One job fails: its graph file is missing from the graph directory.
+	job, err := s.Submit(JobRequest{Graph: GraphSpec{Path: "missing.mnd"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	if job.State() != StateFailed {
+		t.Fatalf("missing graph ended %s, want failed", job.State())
+	}
+	// One submission is rejected because the server is draining.
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(JobRequest{Graph: testGraphSpec}); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit while draining: %v, want ErrDraining", err)
+	}
 
 	var st Stats
 	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
@@ -59,31 +77,49 @@ func TestMetricsMatchStatsAndTrace(t *testing.T) {
 	}
 	got := scrape(t, ts.URL)
 
-	// Every counter pair below must agree by construction: the obs mirror
-	// is incremented at the same site, under the same lock, as the int64
-	// /v1/stats reports.
+	// Every counter field of /v1/stats is read back from its /metrics
+	// series, so each pair must agree exactly.
 	pairs := map[string]int64{
-		`mndmst_serve_jobs_submitted_total`:                         st.JobsSubmitted,
-		`mndmst_serve_jobs_total{state="done"}`:                     st.JobsCompleted,
-		`mndmst_serve_result_cache_hits_total`:                      st.ResultCacheHits,
-		`mndmst_serve_result_cache_misses_total`:                    st.Computations,
-		`mndmst_serve_result_cache_coalesced_total`:                 st.ResultCacheCoalesced,
-		`mndmst_serve_graph_cache_hits_total`:                       st.GraphCacheHits,
-		`mndmst_serve_graph_cache_loads_total`:                      st.GraphCacheLoads,
-		`mndmst_serve_admission_rejects_total{reason="queue_full"}`: st.JobsRejected,
+		`mndmst_serve_jobs_submitted_total`:         st.JobsSubmitted,
+		`mndmst_serve_jobs_total{state="done"}`:     st.JobsCompleted,
+		`mndmst_serve_jobs_total{state="failed"}`:   st.JobsFailed,
+		`mndmst_serve_jobs_total{state="canceled"}`: st.JobsCanceled,
+		`mndmst_serve_jobs_retried_total`:           st.JobsRetried,
+		`mndmst_serve_jobs_degraded_total`:          st.JobsDegraded,
+		`mndmst_serve_jobs_drain_canceled_total`:    st.JobsDrainCanceled,
+		`mndmst_serve_result_cache_hits_total`:      st.ResultCacheHits,
+		`mndmst_serve_result_cache_misses_total`:    st.Computations,
+		`mndmst_serve_result_cache_coalesced_total`: st.ResultCacheCoalesced,
+		`mndmst_serve_graph_cache_hits_total`:       st.GraphCacheHits,
+		`mndmst_serve_graph_cache_loads_total`:      st.GraphCacheLoads,
+		`mndmst_serve_graph_cache_evictions_total`:  st.GraphCacheEvictions,
 	}
 	for name, want := range pairs {
-		if got[name] != float64(want) {
-			t.Errorf("%s = %g, /v1/stats says %d", name, got[name], want)
+		v, ok := got[name]
+		if !ok {
+			t.Errorf("%s missing from /metrics", name)
 		}
+		if v != float64(want) {
+			t.Errorf("%s = %g, /v1/stats says %d", name, v, want)
+		}
+	}
+	rejected := got[`mndmst_serve_admission_rejects_total{reason="queue_full"}`] +
+		got[`mndmst_serve_admission_rejects_total{reason="draining"}`]
+	if rejected != float64(st.JobsRejected) {
+		t.Errorf("admission rejects sum to %g, /v1/stats says %d", rejected, st.JobsRejected)
+	}
+	if st.JobsSubmitted != 3 || st.JobsFailed != 1 || st.JobsRejected != 1 ||
+		got[`mndmst_serve_admission_rejects_total{reason="draining"}`] != 1 {
+		t.Fatalf("unexpected stats shape: %+v", st)
 	}
 	if st.JobsCompleted != 2 || st.Computations != 1 || st.ResultCacheHits != 1 {
 		t.Fatalf("unexpected stats shape: %+v", st)
 	}
 
-	// The job latency histogram saw one cold and one hot observation.
-	if got[`mndmst_serve_job_seconds_count{cache="cold"}`] != 1 {
-		t.Errorf("cold latency count = %g, want 1", got[`mndmst_serve_job_seconds_count{cache="cold"}`])
+	// The job latency histogram saw one hot observation and two cold ones:
+	// the compute and the failed job, which started before its load failed.
+	if got[`mndmst_serve_job_seconds_count{cache="cold"}`] != 2 {
+		t.Errorf("cold latency count = %g, want 2", got[`mndmst_serve_job_seconds_count{cache="cold"}`])
 	}
 	if got[`mndmst_serve_job_seconds_count{cache="hot"}`] != 1 {
 		t.Errorf("hot latency count = %g, want 1", got[`mndmst_serve_job_seconds_count{cache="hot"}`])

@@ -40,11 +40,8 @@ type registry struct {
 	specDigest map[string]string // canonical spec key → digest memo
 	flights    map[string]*graphFlight
 
-	hits, loads, evictions int64
-
-	// obs mirrors, incremented at the same sites as the int64s so /metrics
-	// and /v1/stats can never disagree. Nil handles no-op.
-	mHits, mLoads, mEvictions *obs.Counter
+	// Traffic counters, read back by fill for /v1/stats.
+	hits, loads, evictions *obs.Counter
 }
 
 // graphFlight coalesces concurrent loads of one spec.
@@ -54,6 +51,8 @@ type graphFlight struct {
 	err  error
 }
 
+// newRegistry builds an empty registry whose counters live in reg, which
+// must be non-nil.
 func newRegistry(dir string, maxBytes int64, reg *obs.Registry) *registry {
 	return &registry{
 		dir:        dir,
@@ -62,11 +61,11 @@ func newRegistry(dir string, maxBytes int64, reg *obs.Registry) *registry {
 		lru:        list.New(),
 		specDigest: make(map[string]string),
 		flights:    make(map[string]*graphFlight),
-		mHits: reg.Counter("mndmst_serve_graph_cache_hits_total",
+		hits: reg.Counter("mndmst_serve_graph_cache_hits_total",
 			"graph resolutions answered from the decoded-graph LRU"),
-		mLoads: reg.Counter("mndmst_serve_graph_cache_loads_total",
+		loads: reg.Counter("mndmst_serve_graph_cache_loads_total",
 			"graphs decoded and inserted into the LRU"),
-		mEvictions: reg.Counter("mndmst_serve_graph_cache_evictions_total",
+		evictions: reg.Counter("mndmst_serve_graph_cache_evictions_total",
 			"decoded graphs evicted by the byte bound"),
 	}
 }
@@ -92,8 +91,7 @@ func (r *registry) resolve(spec GraphSpec) (*mndmst.Graph, string, error) {
 	r.mu.Lock()
 	if d, ok := r.specDigest[key]; ok {
 		if ent := r.lookupLocked(d); ent != nil {
-			r.hits++
-			r.mHits.Inc()
+			r.hits.Inc()
 			r.mu.Unlock()
 			return ent.g, ent.digest, nil
 		}
@@ -113,8 +111,7 @@ func (r *registry) resolve(spec GraphSpec) (*mndmst.Graph, string, error) {
 		// The leader already inserted; count the follower as a hit.
 		d := fl.g.Digest()
 		r.mu.Lock()
-		r.hits++
-		r.mHits.Inc()
+		r.hits.Inc()
 		if ent := r.lookupLocked(d); ent != nil {
 			r.mu.Unlock()
 			return ent.g, ent.digest, nil
@@ -132,8 +129,7 @@ func (r *registry) resolve(spec GraphSpec) (*mndmst.Graph, string, error) {
 		close(fl.done)
 		return nil, "", err
 	}
-	r.loads++
-	r.mLoads.Inc()
+	r.loads.Inc()
 	d := g.Digest()
 	r.specDigest[key] = d
 	if ent := r.lookupLocked(d); ent != nil {
@@ -152,8 +148,7 @@ func (r *registry) resolve(spec GraphSpec) (*mndmst.Graph, string, error) {
 		r.lru.Remove(back)
 		delete(r.byDigest, old.digest)
 		r.bytes -= old.bytes
-		r.evictions++
-		r.mEvictions.Inc()
+		r.evictions.Inc()
 	}
 	r.mu.Unlock()
 	close(fl.done)
@@ -162,10 +157,10 @@ func (r *registry) resolve(spec GraphSpec) (*mndmst.Graph, string, error) {
 
 // fill copies the registry counters into a stats snapshot.
 func (r *registry) fill(st *Stats) {
+	st.GraphCacheHits = r.hits.Value()
+	st.GraphCacheLoads = r.loads.Value()
+	st.GraphCacheEvictions = r.evictions.Value()
 	r.mu.Lock()
-	st.GraphCacheHits = r.hits
-	st.GraphCacheLoads = r.loads
-	st.GraphCacheEvictions = r.evictions
 	st.GraphsCached = r.lru.Len()
 	st.GraphCacheBytes = r.bytes
 	st.GraphCacheCapBytes = r.maxBytes

@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"mndmst"
+	"mndmst/internal/obs"
 )
 
 // TestRegistryCachesByDigest: repeated resolves of one spec load once;
 // the second is a hit on the same in-memory graph.
 func TestRegistryCachesByDigest(t *testing.T) {
-	r := newRegistry("", 256<<20, nil)
+	r := newRegistry("", 256<<20, obs.NewRegistry())
 	spec := GraphSpec{Profile: "road_usa", Scale: 0.02}
 	g1, d1, err := r.resolve(spec)
 	if err != nil {
@@ -49,7 +50,7 @@ func TestRegistrySharesContentAcrossSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := newRegistry(dir, 256<<20, nil)
+	r := newRegistry(dir, 256<<20, obs.NewRegistry())
 	_, d1, err := r.resolve(GraphSpec{Profile: "road_usa", Scale: 0.02})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestRegistrySharesContentAcrossSpecs(t *testing.T) {
 // TestRegistryEvictsLRU: the byte bound evicts the least recently used
 // graph but always retains the most recent one, even oversized.
 func TestRegistryEvictsLRU(t *testing.T) {
-	r := newRegistry("", 1, nil) // absurdly small: every second graph evicts the first
+	r := newRegistry("", 1, obs.NewRegistry()) // absurdly small: every second graph evicts the first
 	specA := GraphSpec{Profile: "road_usa", Scale: 0.02}
 	specB := GraphSpec{Profile: "road_usa", Scale: 0.03}
 	if _, _, err := r.resolve(specA); err != nil {
@@ -108,7 +109,7 @@ func TestRegistryEvictsLRU(t *testing.T) {
 // TestRegistryCoalescesConcurrentLoads: N concurrent resolves of a cold
 // spec perform one load.
 func TestRegistryCoalescesConcurrentLoads(t *testing.T) {
-	r := newRegistry("", 256<<20, nil)
+	r := newRegistry("", 256<<20, obs.NewRegistry())
 	spec := GraphSpec{Profile: "road_usa", Scale: 0.02}
 	const n = 8
 	graphs := make([]*mndmst.Graph, n)
@@ -167,7 +168,7 @@ func TestRegistryTextGraphs(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "g.txt"), []byte("0 1\n1 2\n2 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r := newRegistry(dir, 256<<20, nil)
+	r := newRegistry(dir, 256<<20, obs.NewRegistry())
 	_, d1, err := r.resolve(GraphSpec{Text: "g.txt", Seed: 1})
 	if err != nil {
 		t.Fatal(err)

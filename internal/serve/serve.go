@@ -289,15 +289,6 @@ type Server struct {
 	jobs     map[string]*Job
 	history  []string // finished job ids, oldest first
 
-	jobsSubmitted     int64
-	jobsCompleted     int64
-	jobsFailed        int64
-	jobsCanceled      int64
-	jobsRejected      int64
-	jobsRetried       int64 // re-executions after a transient failure
-	jobsDegraded      int64 // answered by the local fallback path
-	jobsDrainCanceled int64 // killed by an expired drain deadline
-
 	// dequeues is a bounded ring of recent worker-dequeue times — the
 	// observed service-rate sample Retry-After hints derive from.
 	dequeues    []time.Time
@@ -308,15 +299,18 @@ type Server struct {
 }
 
 // serverMetrics are the server's obs handles, resolved once in New so
-// the job path never touches the registry lock.
+// the job path never touches the registry lock. They are the only job
+// counters: Stats reads them back.
 type serverMetrics struct {
 	queueDepth     *obs.Gauge
 	queueHighwater *obs.Gauge
 	running        *obs.Gauge
 	submitted      *obs.Counter
-	jobs           *obs.CounterVec // terminal state: done | failed | canceled
-	rejects        *obs.CounterVec // reason: queue_full | draining
-	jobSeconds     *obs.HistogramVec
+
+	// jobs{state} by terminal state and rejects{reason} by admission
+	// failure.
+	jobsDone, jobsFailed, jobsCanceled *obs.Counter
+	rejectQueueFull, rejectDraining    *obs.Counter
 
 	jobSecondsCold *obs.Histogram // cache="cold": the algorithm actually ran
 	jobSecondsHot  *obs.Histogram // cache="hot": answered from cache or coalesced
@@ -328,7 +322,13 @@ type serverMetrics struct {
 }
 
 func newServerMetrics(reg *obs.Registry) serverMetrics {
-	m := serverMetrics{
+	jobs := reg.CounterVec("mndmst_serve_jobs_total",
+		"jobs reaching a terminal state, by state", "state")
+	rejects := reg.CounterVec("mndmst_serve_admission_rejects_total",
+		"submissions rejected by admission control, by reason", "reason")
+	jobSeconds := reg.HistogramVec("mndmst_serve_job_seconds",
+		"job execution seconds (queue wait excluded), split by result temperature", nil, "cache")
+	return serverMetrics{
 		queueDepth: reg.Gauge("mndmst_serve_queue_depth",
 			"jobs admitted but not yet picked up by a worker"),
 		queueHighwater: reg.Gauge("mndmst_serve_queue_depth_highwater",
@@ -337,12 +337,13 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			"jobs currently executing"),
 		submitted: reg.Counter("mndmst_serve_jobs_submitted_total",
 			"jobs admitted past admission control"),
-		jobs: reg.CounterVec("mndmst_serve_jobs_total",
-			"jobs reaching a terminal state, by state", "state"),
-		rejects: reg.CounterVec("mndmst_serve_admission_rejects_total",
-			"submissions rejected by admission control, by reason", "reason"),
-		jobSeconds: reg.HistogramVec("mndmst_serve_job_seconds",
-			"job execution seconds (queue wait excluded), split by result temperature", nil, "cache"),
+		jobsDone:        jobs.With(string(StateDone)),
+		jobsFailed:      jobs.With(string(StateFailed)),
+		jobsCanceled:    jobs.With(string(StateCanceled)),
+		rejectQueueFull: rejects.With("queue_full"),
+		rejectDraining:  rejects.With("draining"),
+		jobSecondsCold:  jobSeconds.With("cold"),
+		jobSecondsHot:   jobSeconds.With("hot"),
 		retried: reg.Counter("mndmst_serve_jobs_retried_total",
 			"job re-executions after a transient failure (attempts beyond each job's first)"),
 		degraded: reg.Counter("mndmst_serve_jobs_degraded_total",
@@ -353,9 +354,6 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 			"executions started per finished job (1 = no retry)",
 			[]float64{1, 2, 3, 4, 6, 8, 16}),
 	}
-	m.jobSecondsCold = m.jobSeconds.With("cold")
-	m.jobSecondsHot = m.jobSeconds.With("hot")
-	return m
 }
 
 // New starts a Server with cfg's worker pool running. The caller must
@@ -435,13 +433,11 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.jobsRejected++
-		s.m.rejects.With("draining").Inc()
+		s.m.rejectDraining.Inc()
 		return nil, ErrDraining
 	}
 	if s.queued >= s.cfg.QueueDepth {
-		s.jobsRejected++
-		s.m.rejects.With("queue_full").Inc()
+		s.m.rejectQueueFull.Inc()
 		return nil, &QueueFullError{Depth: s.cfg.QueueDepth}
 	}
 	s.nextID++
@@ -481,7 +477,6 @@ func (s *Server) Submit(req JobRequest) (*Job, error) {
 	}
 	s.jobs[job.id] = job
 	s.queued++
-	s.jobsSubmitted++
 	s.m.submitted.Inc()
 	s.m.queueDepth.Set(float64(s.queued))
 	s.m.queueHighwater.SetMax(float64(s.queued))
@@ -551,7 +546,7 @@ func (s *Server) runJob(job *Job) {
 	err = pol.Do(job.ctx, func(ctx context.Context, attempt int) error {
 		job.noteAttempt(attempt)
 		if attempt > 0 {
-			s.noteRetry()
+			s.m.retried.Inc()
 		}
 		var derr error
 		ent, src, derr = s.results.do(ctx, key, func() (*cacheEntry, error) {
@@ -598,23 +593,12 @@ func (s *Server) runJob(job *Job) {
 	s.finishJob(job, StateDone, &ent.rec, ent.traceRecs, src == srcHit, src == srcCoalesced, nil)
 }
 
-// noteRetry counts one re-execution in the stats and metrics.
-func (s *Server) noteRetry() {
-	s.mu.Lock()
-	s.jobsRetried++
-	s.mu.Unlock()
-	s.m.retried.Inc()
-}
-
 // finishCanceled finishes a canceled job, distinguishing a drain kill
 // (the server's choice, recorded as such in the error and stats) from the
 // client's own deadline or cancel.
 func (s *Server) finishCanceled(job *Job, err error) {
 	if errors.Is(context.Cause(job.ctx), ErrDrainCanceled) {
 		err = fmt.Errorf("%w: %w", ErrDrainCanceled, err)
-		s.mu.Lock()
-		s.jobsDrainCanceled++
-		s.mu.Unlock()
 		s.m.drainCanceled.Inc()
 	}
 	s.finishJob(job, StateCanceled, nil, nil, false, false, err)
@@ -652,9 +636,6 @@ func (s *Server) degrade(job *Job, g *mndmst.Graph, digest string) bool {
 	job.mu.Lock()
 	job.degraded = true
 	job.mu.Unlock()
-	s.mu.Lock()
-	s.jobsDegraded++
-	s.mu.Unlock()
 	s.m.degraded.Inc()
 	var traceRecs []trace.Record
 	if res.Trace != nil {
@@ -667,7 +648,14 @@ func (s *Server) degrade(job *Job, g *mndmst.Graph, digest string) bool {
 // finishJob records the terminal state in both the job and the counters.
 func (s *Server) finishJob(job *Job, state JobState, rec *Record, traceRecs []trace.Record, hit, coalesced bool, err error) {
 	ran, started := job.finish(state, rec, traceRecs, hit, coalesced, err)
-	s.m.jobs.With(string(state)).Inc()
+	switch state {
+	case StateDone:
+		s.m.jobsDone.Inc()
+	case StateFailed:
+		s.m.jobsFailed.Inc()
+	case StateCanceled:
+		s.m.jobsCanceled.Inc()
+	}
 	if attempts := job.Attempts(); attempts > 0 {
 		s.m.jobAttempts.Observe(float64(attempts))
 	}
@@ -678,16 +666,6 @@ func (s *Server) finishJob(job *Job, state JobState, rec *Record, traceRecs []tr
 		}
 		h.Observe(ran.Seconds())
 	}
-	s.mu.Lock()
-	switch state {
-	case StateDone:
-		s.jobsCompleted++
-	case StateFailed:
-		s.jobsFailed++
-	case StateCanceled:
-		s.jobsCanceled++
-	}
-	s.mu.Unlock()
 }
 
 // retire keeps the finished-job history bounded.
@@ -841,25 +819,29 @@ type Stats struct {
 	GraphCacheCapBytes  int64 `json:"graph_cache_cap_bytes"`
 }
 
-// Stats snapshots the server's counters.
+// Stats snapshots the server's state and reads its counters back from the
+// obs registry, so /v1/stats and /metrics report the same numbers.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
-		Draining:          s.draining,
-		Workers:           s.cfg.Workers,
-		QueueCap:          s.cfg.QueueDepth,
-		Queued:            s.queued,
-		Running:           s.running,
-		JobsSubmitted:     s.jobsSubmitted,
-		JobsCompleted:     s.jobsCompleted,
-		JobsFailed:        s.jobsFailed,
-		JobsCanceled:      s.jobsCanceled,
-		JobsRejected:      s.jobsRejected,
-		JobsRetried:       s.jobsRetried,
-		JobsDegraded:      s.jobsDegraded,
-		JobsDrainCanceled: s.jobsDrainCanceled,
+		Draining: s.draining,
+		Workers:  s.cfg.Workers,
+		QueueCap: s.cfg.QueueDepth,
+		Queued:   s.queued,
+		Running:  s.running,
 	}
 	s.mu.Unlock()
+	// Terminal counts are read before submissions: a job bumps them in the
+	// opposite order, so a snapshot never shows more finished than admitted.
+	m := &s.m
+	st.JobsCompleted = m.jobsDone.Value()
+	st.JobsFailed = m.jobsFailed.Value()
+	st.JobsCanceled = m.jobsCanceled.Value()
+	st.JobsSubmitted = m.submitted.Value()
+	st.JobsRejected = m.rejectQueueFull.Value() + m.rejectDraining.Value()
+	st.JobsRetried = m.retried.Value()
+	st.JobsDegraded = m.degraded.Value()
+	st.JobsDrainCanceled = m.drainCanceled.Value()
 	s.results.fill(&st)
 	s.registry.fill(&st)
 	return st

@@ -13,7 +13,7 @@ package boruvka
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mndmst/internal/wire"
 )
@@ -22,9 +22,13 @@ import (
 // vertices and the edge list with global endpoint names. Endpoints absent
 // from IDs are external (ghost) vertices.
 type Local struct {
-	IDs   []int32         // sorted ascending, unique
-	Index map[int32]int32 // global id → local index
+	IDs   []int32 // sorted ascending, unique
 	Edges []wire.WEdge
+
+	// win maps global id IDs[0]+k to its local index win[k], or -1 for a
+	// ghost inside the window [IDs[0], IDs[len-1]]; ids outside it are
+	// ghosts too.
+	win []int32
 
 	// CSR over local indices; arcs exist only from local endpoints.
 	off  []int64
@@ -36,27 +40,32 @@ type Local struct {
 // NewLocal builds a Local view. IDs must be unique; they are sorted
 // in place. Every edge must have at least one local endpoint.
 func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	l := &Local{IDs: ids, Edges: edges, Index: make(map[int32]int32, len(ids))}
-	for i, id := range ids {
-		if i > 0 && ids[i-1] == id {
-			return nil, fmt.Errorf("boruvka: duplicate local id %d", id)
-		}
-		l.Index[id] = int32(i)
-	}
+	slices.Sort(ids)
+	l := &Local{IDs: ids, Edges: edges}
 	n := len(ids)
+	if n > 0 {
+		l.win = make([]int32, int(ids[n-1])-int(ids[0])+1)
+		for k := range l.win {
+			l.win[k] = -1
+		}
+		for i, id := range ids {
+			if i > 0 && ids[i-1] == id {
+				return nil, fmt.Errorf("boruvka: duplicate local id %d", id)
+			}
+			l.win[int(id)-int(ids[0])] = int32(i)
+		}
+	}
 	counts := make([]int64, n+1)
 	for i := range edges {
 		e := &edges[i]
-		lu, okU := l.Index[e.U]
-		lv, okV := l.Index[e.V]
-		if !okU && !okV {
+		lu, lv := l.index(e.U), l.index(e.V)
+		if lu < 0 && lv < 0 {
 			return nil, fmt.Errorf("boruvka: edge %d (%d-%d) has no local endpoint", i, e.U, e.V)
 		}
-		if okU {
+		if lu >= 0 {
 			counts[lu+1]++
 		}
-		if okV && e.U != e.V { // self-loop on a local vertex: one arc only
+		if lv >= 0 && e.U != e.V { // self-loop on a local vertex: one arc only
 			counts[lv+1]++
 		}
 	}
@@ -68,30 +77,38 @@ func NewLocal(ids []int32, edges []wire.WEdge) (*Local, error) {
 	l.dst = make([]int32, total)
 	l.eidx = make([]int32, total)
 	l.w = make([]uint64, total)
-	cursor := make([]int64, n)
-	put := func(tail int32, head int32, headLocal bool, i int) {
-		a := l.off[tail] + cursor[tail]
+	cursor := slices.Clone(counts[:n])
+	put := func(tail, head int32, i int) {
+		a := cursor[tail]
 		cursor[tail]++
-		if headLocal {
-			l.dst[a] = l.Index[head]
-		} else {
-			l.dst[a] = -1
-		}
+		l.dst[a] = head
 		l.eidx[a] = int32(i)
-		l.w[a] = l.Edges[i].W
+		l.w[a] = edges[i].W
 	}
 	for i := range edges {
 		e := &edges[i]
-		lu, okU := l.Index[e.U]
-		lv, okV := l.Index[e.V]
-		if okU {
-			put(lu, e.V, okV, i)
+		lu, lv := l.index(e.U), l.index(e.V)
+		if lu >= 0 {
+			put(lu, lv, i)
 		}
-		if okV && e.U != e.V {
-			put(lv, e.U, okU, i)
+		if lv >= 0 && e.U != e.V {
+			put(lv, lu, i)
 		}
 	}
 	return l, nil
+}
+
+// index returns the local index of global id v, or -1 if v is a ghost.
+// An id below IDs[0] wraps to a huge unsigned offset, so one comparison
+// rejects ids on either side of the window.
+func (l *Local) index(v int32) int32 {
+	if len(l.win) == 0 {
+		return -1
+	}
+	if k := uint64(int64(v) - int64(l.IDs[0])); k < uint64(len(l.win)) {
+		return l.win[k]
+	}
+	return -1
 }
 
 // N reports the number of local vertices.

@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mndmst/internal/boruvka"
@@ -52,9 +53,14 @@ type Result struct {
 
 // Run executes MND-MST on p simulated ranks of the given machine. useGPU
 // selects the multi-device (CPU+GPU) mode when the machine has an
-// accelerator; otherwise the run is CPU-only.
+// accelerator; otherwise the run is CPU-only. It builds el's CSR for this
+// one run; RunCSR takes a prebuilt one.
 func Run(el *graph.EdgeList, p int, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
-	return run(el, p, nil, machine, cfg, useGPU)
+	g, err := graph.BuildCSR(el)
+	if err != nil {
+		return nil, err
+	}
+	return RunCSR(el, g, p, nil, machine, cfg, useGPU)
 }
 
 // RunDistributed executes this process's rank of MND-MST over a real
@@ -64,18 +70,23 @@ func Run(el *graph.EdgeList, p int, machine cost.Machine, cfg hypar.Config, useG
 // full gathered report (simulated clocks plus real wall-clock per phase);
 // other ranks return a Result with a nil Forest and their local report.
 func RunDistributed(el *graph.EdgeList, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
-	return run(el, ep.P(), ep, machine, cfg, useGPU)
-}
-
-// run is the shared driver: ep == nil simulates all p ranks in-process,
-// otherwise only ep's rank executes here.
-func run(el *graph.EdgeList, p int, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
-	if err := el.Validate(); err != nil {
-		return nil, err
-	}
 	g, err := graph.BuildCSR(el)
 	if err != nil {
 		return nil, err
+	}
+	return RunCSR(el, g, 0, ep, machine, cfg, useGPU)
+}
+
+// RunCSR is the one driver behind Run and RunDistributed. g must be
+// graph.BuildCSR(el); the run only reads el and g, so concurrent runs may
+// share them. ep == nil simulates all p ranks in-process; otherwise only
+// ep's rank executes here, p is ignored and the cluster size is ep.P().
+func RunCSR(el *graph.EdgeList, g *graph.CSR, p int, ep transport.Transport, machine cost.Machine, cfg hypar.Config, useGPU bool) (*Result, error) {
+	if g.N != el.N || g.M != int64(len(el.Edges)) {
+		return nil, fmt.Errorf("core: CSR (%d vertices, %d edges) is not the edge list's (%d, %d)", g.N, g.M, el.N, len(el.Edges))
+	}
+	if ep != nil {
+		p = ep.P()
 	}
 	if cfg.MergeEdgeThreshold == 0 {
 		// Default memory-capacity threshold: a group merges to its leader
@@ -282,26 +293,9 @@ func (m *rankMain) run() (*mst.Forest, error) {
 		// removal.
 		r.SetPhase(PhaseMerge)
 		if amActive {
-			// Only boundary components matter to other ranks: a peer holds
-			// a copy of one of our edges only if it is a cut edge, and the
-			// label it knows is the cut edge's owned endpoint. Sending
-			// parent ids for exactly those mirrors the ghost-vertex
-			// communication of §3.3.
-			ownedSet := merge.ToSet(m.owned)
-			boundary := make(map[int32]bool)
-			for _, e := range m.edges {
-				if !ownedSet[e.U] {
-					boundary[e.V] = true
-				} else if !ownedSet[e.V] {
-					boundary[e.U] = true
-				}
-			}
-			sendDeltas := deltas[:0:0]
-			for _, d := range deltas {
-				if boundary[d.Old] {
-					sendDeltas = append(sendDeltas, d)
-				}
-			}
+			// Only boundary components' parent ids go to other ranks,
+			// mirroring the ghost-vertex communication of §3.3.
+			sendDeltas := merge.BoundaryDeltas(m.owned, m.edges, deltas)
 			remote, wEx, err := merge.ExchangeDeltas(r, active, sendDeltas, m.cfg.Chunk)
 			if err != nil {
 				return nil, err
@@ -367,7 +361,7 @@ func (m *rankMain) run() (*mst.Forest, error) {
 						m.owned = append(m.owned, pl.Comps...)
 						m.edges = append(m.edges, pl.Edges...)
 					}
-					sort.Slice(m.owned, func(i, j int) bool { return m.owned[i] < m.owned[j] })
+					slices.Sort(m.owned)
 					m.edges = merge.DedupeByID(m.edges)
 					m.rt.ChargeWork(cost.Work{EdgesScanned: int64(len(m.edges))})
 					m.notePeak()
@@ -379,13 +373,13 @@ func (m *rankMain) run() (*mst.Forest, error) {
 				// progresses without any rank blocking in a send.
 				sendTo, recvFrom := merge.RingNeighbors(grp, r.ID())
 				kept, sent := merge.SplitSegment(m.owned, len(grp))
-				keptE, movedE := merge.SplitEdges(m.edges, merge.ToSet(kept), merge.ToSet(sent))
+				keptE, movedE := merge.SplitEdges(m.edges, kept, sent)
 				pl, err := merge.ExchangeSegments(r, sendTo, recvFrom, merge.Payload{Comps: sent, Edges: movedE}, m.cfg.Chunk)
 				if err != nil {
 					return nil, err
 				}
 				m.owned = append(kept, pl.Comps...)
-				sort.Slice(m.owned, func(i, j int) bool { return m.owned[i] < m.owned[j] })
+				slices.Sort(m.owned)
 				m.edges = merge.DedupeByID(append(keptE, pl.Edges...))
 				m.rt.ChargeWork(cost.Work{EdgesScanned: int64(len(m.edges))})
 				m.notePeak()
@@ -434,15 +428,18 @@ func (m *rankMain) run() (*mst.Forest, error) {
 		merge.SendForest(r, 0, m.chosen, m.cfg.Chunk)
 		return nil, nil
 	}
-	all := append([]int32(nil), m.chosen...)
+	parts := [][]int32{m.chosen}
 	for src := 1; src < p; src++ {
 		ids, err := merge.RecvForest(r, src, m.cfg.Chunk)
 		if err != nil {
 			return nil, err
 		}
-		all = append(all, ids...)
+		parts = append(parts, ids)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	// One exactly sized copy: callers such as serve's result cache keep
+	// the forest, so it must not carry append slack.
+	all := slices.Concat(parts...)
+	slices.Sort(all)
 	f := &mst.Forest{EdgeIDs: all}
 	for _, id := range all {
 		f.TotalWeight += m.el.Edges[id].W

@@ -75,7 +75,10 @@ func (el *EdgeList) Validate() error {
 
 // CSR is the compressed-sparse-row form of an undirected graph: every
 // undirected edge appears as two directed arcs. Arc i of vertex u lives at
-// positions Offsets[u] <= i < Offsets[u+1] of the arc arrays.
+// positions Offsets[u] <= i < Offsets[u+1] of the arc arrays. BuildCSR
+// orders the arcs of each vertex by ascending edge id, so a self-loop's
+// two arcs are adjacent. A built CSR is read-only and may be shared by
+// concurrent readers.
 type CSR struct {
 	N       int32
 	M       int64   // number of undirected edges

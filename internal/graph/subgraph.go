@@ -12,7 +12,6 @@ func InducedSubgraph(g *CSR, verts []int32) *EdgeList {
 		remap[v] = int32(i)
 	}
 	el := &EdgeList{N: int32(len(verts))}
-	var loopSeen map[int32]bool // self-loops appear as two identical arcs
 	for _, u := range verts {
 		nu := remap[u]
 		lo, hi := g.Arcs(u)
@@ -23,13 +22,9 @@ func InducedSubgraph(g *CSR, verts []int32) *EdgeList {
 				continue
 			}
 			if u == v {
-				if loopSeen == nil {
-					loopSeen = make(map[int32]bool)
+				if a > lo && g.EID[a-1] == g.EID[a] {
+					continue // a self-loop's second arc follows its first
 				}
-				if loopSeen[g.EID[a]] {
-					continue
-				}
-				loopSeen[g.EID[a]] = true
 			} else if nu > nv {
 				continue // emit each proper edge once, from the smaller new id
 			}
@@ -69,25 +64,52 @@ func SampleInducedSubgraph(g *CSR, fraction float64, rng *rand.Rand) *EdgeList {
 // cut edges (one endpoint outside) are emitted once as well, from the
 // inside endpoint.
 func VertexRangeSubgraph(g *CSR, lo, hi int32) []Edge {
-	var out []Edge
-	var loopSeen map[int32]bool // self-loops appear as two identical arcs
+	return VertexRangeEdges(g, lo, hi, func(u int32, a int64) Edge {
+		return Edge{U: u, V: g.Dst[a], W: g.W[a], ID: g.EID[a]}
+	})
+}
+
+// VertexRangeEdges is VertexRangeSubgraph with the record type left to
+// the caller: edge(u, a) builds the record of the edge that arc a of
+// vertex u carries. It counts the range's edges first and fills one
+// exactly sized slice, in VertexRangeSubgraph's order.
+func VertexRangeEdges[E any](g *CSR, lo, hi int32, edge func(u int32, a int64) E) []E {
+	off, dst, eid := g.Offsets, g.Dst, g.EID
+	count := 0
 	for u := lo; u < hi; u++ {
-		alo, ahi := g.Arcs(u)
-		for a := alo; a < ahi; a++ {
-			v := g.Dst[a]
-			if u == v {
-				if loopSeen == nil {
-					loopSeen = make(map[int32]bool)
-				}
-				if loopSeen[g.EID[a]] {
-					continue
-				}
-				loopSeen[g.EID[a]] = true
-			} else if v >= lo && v < hi && u > v {
-				continue // internal proper edge: emit once, from smaller endpoint
+		first, last := off[u], off[u+1]
+		for a := first; a < last; a++ {
+			if carries(dst, eid, u, a, first, lo) {
+				count++
 			}
-			out = append(out, Edge{U: u, V: v, W: g.W[a], ID: g.EID[a]})
 		}
 	}
-	return out
+	// Every arc writes the next slot, which only a carrying arc keeps:
+	// no branch on the (unpredictable) carry test.
+	out := make([]E, count+1)
+	i := 0
+	for u := lo; u < hi; u++ {
+		first, last := off[u], off[u+1]
+		for a := first; a < last; a++ {
+			out[i] = edge(u, a)
+			if carries(dst, eid, u, a, first, lo) {
+				i++
+			}
+		}
+	}
+	return out[:count:count]
+}
+
+// carries reports whether arc a of vertex u in [lo, hi), whose arcs
+// start at first, is the arc that represents its edge in the range's edge
+// list: the first of a self-loop's two adjacent arcs, and otherwise every
+// arc but one from u back to an inside vertex below u — the inside arc of
+// a cut edge and the arc from the smaller endpoint of an internal edge.
+func carries(dst, eid []int32, u int32, a, first int64, lo int32) bool {
+	v := dst[a]
+	if v == u {
+		return a == first || eid[a-1] != eid[a]
+	}
+	// One unsigned comparison tests lo <= v < u: v below lo wraps high.
+	return uint32(v-lo) >= uint32(u-lo)
 }

@@ -229,7 +229,7 @@ func (rt *Runtime) indCompMulti(owned []int32, edges []wire.WEdge) (*IndResult, 
 	wRed.Add(wMul)
 	tRed := rt.CPU.Price(wRed)
 
-	comps := componentsAfter(owned, pf)
+	comps := merge.Representatives(owned, pf)
 	lm, err := boruvka.NewLocal(comps, nodeEdges)
 	if err != nil {
 		return nil, fmt.Errorf("hypar: node merge view: %w", err)
@@ -378,21 +378,5 @@ func deviceEdgesMulti(edges []wire.WEdge, sets [][]int32) [][]wire.WEdge {
 			out[dv] = append(out[dv], e)
 		}
 	}
-	return out
-}
-
-// componentsAfter applies the parent function to the owned set and returns
-// the sorted unique representatives.
-func componentsAfter(owned []int32, pf func(int32) int32) []int32 {
-	seen := make(map[int32]bool, len(owned))
-	var out []int32
-	for _, c := range owned {
-		p := pf(c)
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

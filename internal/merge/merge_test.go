@@ -163,8 +163,8 @@ func TestSplitSegment(t *testing.T) {
 }
 
 func TestSplitEdges(t *testing.T) {
-	kept := ToSet([]int32{1, 2})
-	sent := ToSet([]int32{3})
+	kept := []int32{1, 2}
+	sent := []int32{3}
 	edges := []wire.WEdge{
 		{U: 1, V: 2, ID: 0},  // kept only
 		{U: 2, V: 3, ID: 1},  // both

@@ -13,7 +13,9 @@
 package merge
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"mndmst/internal/cost"
 	"mndmst/internal/hashtable"
@@ -57,11 +59,8 @@ func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 		}
 	})
 	out := t.Edges()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
+	slices.SortFunc(out, func(a, b wire.WEdge) int {
+		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
 	w.HashOps = t.Ops()
 	w.EdgesScanned = int64(len(edges))
@@ -72,7 +71,7 @@ func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
 // which appear when both endpoint owners ship their copy to one rank. The
 // result is sorted by ID.
 func DedupeByID(edges []wire.WEdge) []wire.WEdge {
-	sort.Slice(edges, func(i, j int) bool { return edges[i].ID < edges[j].ID })
+	slices.SortFunc(edges, func(a, b wire.WEdge) int { return cmp.Compare(a.ID, b.ID) })
 	out := edges[:0]
 	for i := range edges {
 		if i > 0 && edges[i].ID == edges[i-1].ID {
@@ -97,7 +96,7 @@ func DeltasFromParents(ids, parents []int32) []Delta {
 			ds = append(ds, Delta{Old: id, New: parents[i]})
 		}
 	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].Old < ds[j].Old })
+	slices.SortFunc(ds, func(a, b Delta) int { return cmp.Compare(a.Old, b.Old) })
 	return ds
 }
 
@@ -106,32 +105,37 @@ func DeltasFromParents(ids, parents []int32) []Delta {
 // after a merge round (every merge happens at the owning rank, so a merged
 // cluster's representative is always local).
 func Representatives(owned []int32, pf func(int32) int32) []int32 {
-	seen := make(map[int32]bool, len(owned))
-	out := make([]int32, 0, len(owned))
-	for _, c := range owned {
-		p := pf(c)
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
+	out := make([]int32, len(owned))
+	for i, c := range owned {
+		out[i] = pf(c)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ApplyDeltas builds a parent function from local and remote deltas over a
 // base identity. Chains cannot occur within one round (each rank maps old
-// ids directly to final representatives), so a single map lookup suffices.
+// ids directly to final representatives), so a single lookup suffices: a
+// window over the span of the Old ids, identity outside it.
 func ApplyDeltas(all ...[]Delta) func(int32) int32 {
-	m := make(map[int32]int32)
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for _, ds := range all {
 		for _, d := range ds {
-			m[d.Old] = d.New
+			lo, hi = min(lo, d.Old), max(hi, d.Old)
+		}
+	}
+	w := newWindow[int32](lo, hi)
+	for k := range w.vals {
+		w.vals[k] = lo + int32(k)
+	}
+	for _, ds := range all {
+		for _, d := range ds {
+			w.vals[w.slot(d.Old)] = d.New
 		}
 	}
 	return func(v int32) int32 {
-		if p, ok := m[v]; ok {
-			return p
+		if k := w.slot(v); k >= 0 {
+			return w.vals[k]
 		}
 		return v
 	}

@@ -165,13 +165,11 @@ func ReadWeighted(r *cluster.Rank, g *graph.CSR, strat Strategy, speeds []float6
 	}
 
 	lo, hi := bounds[r.ID()], bounds[r.ID()+1]
-	edges := graph.VertexRangeSubgraph(g, lo, hi)
+	edges := graph.VertexRangeEdges(g, lo, hi, func(u int32, a int64) wire.WEdge {
+		return wire.WEdge{U: u, V: g.Dst[a], W: g.W[a], ID: g.EID[a]}
+	})
 	w.EdgesScanned += int64(len(edges))
-	part := &Part{Lo: lo, Hi: hi, Bounds: bounds, Edges: make([]wire.WEdge, len(edges))}
-	for i, e := range edges {
-		part.Edges[i] = wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}
-	}
-	return part, w
+	return &Part{Lo: lo, Hi: hi, Bounds: bounds, Edges: edges}, w
 }
 
 // BuildGhostList prices the per-rank ghostList of §3.1 without building

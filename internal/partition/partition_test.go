@@ -275,3 +275,39 @@ func TestBuildGhostListForeignEdgePanics(t *testing.T) {
 	}()
 	BuildGhostList(part)
 }
+
+// TestReadWeightedMatchesVertexRangeSubgraph: a rank's part holds exactly
+// VertexRangeSubgraph's edges of its range, edge for edge and in order,
+// on a multigraph with self-loops (internal and on range borders) and
+// parallel edges.
+func TestReadWeightedMatchesVertexRangeSubgraph(t *testing.T) {
+	el := gen.RMAT(256, 3000, 59)
+	for i := 0; i < len(el.Edges); i += 37 {
+		el.Edges[i].V = el.Edges[i].U // self-loop
+	}
+	for i := 1; i+1 < len(el.Edges); i += 53 {
+		el.Edges[i+1].U, el.Edges[i+1].V = el.Edges[i].V, el.Edges[i].U // reversed parallel edge
+	}
+	g := graph.MustBuildCSR(el)
+	for _, p := range []int{1, 3, 8} {
+		for _, strat := range []Strategy{ByDegree, ByVertex} {
+			c := cluster.New(p, testComm())
+			_, err := c.Run(func(r *cluster.Rank) error {
+				part, _ := ReadWeighted(r, g, strat, nil)
+				want := graph.VertexRangeSubgraph(g, part.Lo, part.Hi)
+				if len(part.Edges) != len(want) {
+					return fmt.Errorf("rank %d: %d edges, want %d", r.ID(), len(part.Edges), len(want))
+				}
+				for i, e := range want {
+					if got := part.Edges[i]; got != (wire.WEdge{U: e.U, V: e.V, W: e.W, ID: e.ID}) {
+						return fmt.Errorf("rank %d: edge %d is %+v, want %+v", r.ID(), i, got, e)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("p=%d strategy %d: %v", p, strat, err)
+			}
+		}
+	}
+}

@@ -3,19 +3,83 @@ package serve
 import (
 	"container/list"
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 
+	"mndmst"
 	"mndmst/internal/obs"
 	"mndmst/internal/trace"
 )
 
-// cacheEntry is one cached computation outcome: the result record (always
-// carrying the forest edge ids; views strip them) plus the per-rank trace
-// records when the run produced a report.
+// cacheEntry is one computation outcome, immutable once built and shared
+// by the result cache and every job it answers: the result record with
+// its forest edge ids packed out of it, plus the per-rank trace records
+// when the run produced a report.
 type cacheEntry struct {
-	rec       Record
+	rec       Record // EdgeIDs nil; forest holds them
+	forest    []byte // packForest(EdgeIDs)
 	traceRecs []trace.Record
+}
+
+// newCacheEntry builds the entry of a computed result and its record.
+// Cached results and finished jobs keep their forests for their whole
+// lifetime, so the forest is stored packed, at about a byte per edge
+// instead of four.
+func newCacheEntry(rec Record, res *mndmst.Result) *cacheEntry {
+	ent := &cacheEntry{rec: rec, forest: packForest(rec.EdgeIDs)}
+	ent.rec.EdgeIDs = nil
+	if res.Trace != nil {
+		ent.traceRecs = res.Trace.Records()
+	}
+	return ent
+}
+
+// record returns a copy of the full result record, forest included.
+func (e *cacheEntry) record() *Record {
+	rec := e.rec
+	rec.EdgeIDs = unpackForest(e.forest, rec.ForestEdges)
+	return &rec
+}
+
+// packForest delta-encodes forest edge ids as uvarints. Forests are
+// ascending, so most gaps take one byte; gaps wrap at 32 bits, so any
+// order round-trips. nil stays nil.
+func packForest(ids []int32) []byte {
+	if ids == nil {
+		return nil
+	}
+	var tmp [binary.MaxVarintLen32]byte
+	size, prev := 0, int32(0)
+	for _, id := range ids {
+		size += binary.PutUvarint(tmp[:], uint64(uint32(id-prev)))
+		prev = id
+	}
+	buf, prev := make([]byte, 0, size), int32(0)
+	for _, id := range ids {
+		buf = binary.AppendUvarint(buf, uint64(uint32(id-prev)))
+		prev = id
+	}
+	return buf
+}
+
+// unpackForest decodes the n edge ids packForest packed into b.
+func unpackForest(b []byte, n int) []int32 {
+	if b == nil {
+		return nil
+	}
+	ids := make([]int32, 0, n)
+	var prev int32
+	for len(b) > 0 {
+		gap, k := binary.Uvarint(b)
+		if k <= 0 {
+			panic("serve: corrupt packed forest")
+		}
+		b = b[k:]
+		prev += int32(uint32(gap))
+		ids = append(ids, prev)
+	}
+	return ids
 }
 
 // resultSource says how a job's result was obtained.

@@ -237,14 +237,14 @@ func (j *Job) Status() JobStatus {
 	if !j.started.IsZero() && !j.finished.IsZero() {
 		st.RunSeconds = j.finished.Sub(j.started).Seconds()
 	}
-	if j.record != nil {
-		rec := *j.record
-		if !j.req.IncludeEdges {
-			rec.EdgeIDs = nil
+	if j.result != nil {
+		rec := j.result.rec
+		if j.req.IncludeEdges {
+			rec.EdgeIDs = unpackForest(j.result.forest, rec.ForestEdges)
 		}
 		st.Result = &rec
 		if j.req.IncludeTrace {
-			st.Trace = j.traceRecs
+			st.Trace = j.result.traceRecs
 		}
 	}
 	return st

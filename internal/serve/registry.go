@@ -19,10 +19,13 @@ type graphEntry struct {
 }
 
 // graphBytes estimates the resident size of a decoded graph: 24 bytes per
-// edge-list entry plus a fixed header. The estimate only needs to be
-// proportional for the LRU bound to be meaningful.
+// edge-list entry, the CSR the graph keeps once its first job has run (16
+// bytes per arc, two arcs per edge, plus an 8-byte offset per vertex), and
+// a fixed header. The estimate only needs to be proportional for the LRU
+// bound to be meaningful.
 func graphBytes(g *mndmst.Graph) int64 {
-	return int64(g.NumEdges())*24 + 64
+	m, n := int64(g.NumEdges()), int64(g.NumVertices())
+	return 24*m + 2*16*m + 8*n + 64
 }
 
 // registry loads graphs on demand and caches the decoded forms in a

@@ -79,6 +79,31 @@ func TestRegistrySharesContentAcrossSpecs(t *testing.T) {
 	}
 }
 
+// TestRegistryChargesCSRBytes: a resident graph is charged for its edge
+// list and for the CSR it keeps after its first job, so the byte bound
+// covers both.
+func TestRegistryChargesCSRBytes(t *testing.T) {
+	dir := t.TempDir()
+	g, err := mndmst.NewGraph(5, []mndmst.Edge{{U: 0, V: 1, Weight: 3}, {U: 1, V: 2, Weight: 1}, {U: 3, V: 3, Weight: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mndmst.SaveGraph(filepath.Join(dir, "g.mnd"), g); err != nil {
+		t.Fatal(err)
+	}
+	r := newRegistry(dir, 256<<20, obs.NewRegistry())
+	if _, _, err := r.resolve(GraphSpec{Path: "g.mnd"}); err != nil {
+		t.Fatal(err)
+	}
+	var st Stats
+	r.fill(&st)
+	// 3 edges * 24 B of edge list + 6 arcs * 16 B + 5 vertices * 8 B of
+	// CSR + a 64 B header.
+	if want := int64(3*24 + 6*16 + 5*8 + 64); st.GraphCacheBytes != want {
+		t.Fatalf("graph charged %d bytes, want %d", st.GraphCacheBytes, want)
+	}
+}
+
 // TestRegistryEvictsLRU: the byte bound evicts the least recently used
 // graph but always retains the most recent one, even oversized.
 func TestRegistryEvictsLRU(t *testing.T) {

@@ -183,8 +183,7 @@ type Job struct {
 	coalesced bool
 	attempts  int  // executions actually started
 	degraded  bool // answered by the local fallback after distributed attempts died
-	record    *Record
-	traceRecs []trace.Record
+	result    *cacheEntry
 	err       error
 	submitted time.Time
 	started   time.Time
@@ -214,13 +213,16 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// Record returns the result record of a done job (nil otherwise). The
-// returned record always carries the forest edge ids; rendering layers
-// strip them unless requested.
+// Record returns a copy of the result record of a done job (nil
+// otherwise). The returned record always carries the forest edge ids;
+// rendering layers strip them unless requested.
 func (j *Job) Record() *Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.record
+	if j.result == nil {
+		return nil
+	}
+	return j.result.record()
 }
 
 // Attempts returns how many executions the job has started — 1 for a
@@ -248,12 +250,12 @@ func (j *Job) setRunning() {
 // finish moves the job to its terminal state exactly once. It reports
 // the execution duration and whether the job ever started running (false
 // for jobs canceled while still queued), so the caller can feed the
-// latency histogram without re-acquiring the job lock.
-func (j *Job) finish(state JobState, rec *Record, traceRecs []trace.Record, hit, coalesced bool, err error) (ran time.Duration, started bool) {
+// latency histogram without re-acquiring the job lock. The caller closes
+// j.done once it has counted the job.
+func (j *Job) finish(state JobState, result *cacheEntry, hit, coalesced bool, err error) (ran time.Duration, started bool) {
 	j.mu.Lock()
 	j.state = state
-	j.record = rec
-	j.traceRecs = traceRecs
+	j.result = result
 	j.cacheHit = hit
 	j.coalesced = coalesced
 	j.err = err
@@ -263,7 +265,6 @@ func (j *Job) finish(state JobState, rec *Record, traceRecs []trace.Record, hit,
 		ran = j.finished.Sub(j.started)
 	}
 	j.mu.Unlock()
-	close(j.done)
 	return ran, started
 }
 
@@ -529,7 +530,7 @@ func (s *Server) runJob(job *Job) {
 	job.setRunning()
 	g, digest, err := s.registry.resolve(job.req.Graph)
 	if err != nil {
-		s.finishJob(job, StateFailed, nil, nil, false, false, err)
+		s.finishJob(job, StateFailed, nil, false, false, err)
 		return
 	}
 	key := digest + "|" + job.system + "|" + job.fpr
@@ -554,12 +555,7 @@ func (s *Server) runJob(job *Job) {
 			if err != nil {
 				return nil, err
 			}
-			rec := newRecord(g, digest, job.system, job.opts, res)
-			ent := &cacheEntry{rec: rec}
-			if res.Trace != nil {
-				ent.traceRecs = res.Trace.Records()
-			}
-			return ent, nil
+			return newCacheEntry(newRecord(g, digest, job.system, job.opts, res), res), nil
 		})
 		if derr != nil && s.Draining() {
 			// Drain rule: the current attempt ran to completion, but a
@@ -582,7 +578,7 @@ func (s *Server) runJob(job *Job) {
 				return
 			}
 		}
-		s.finishJob(job, StateFailed, nil, nil, false, false, err)
+		s.finishJob(job, StateFailed, nil, false, false, err)
 		return
 	}
 	if src == srcComputed && len(ent.traceRecs) > 0 {
@@ -590,7 +586,7 @@ func (s *Server) runJob(job *Job) {
 		// replays a stored answer, it is not a new run.
 		trace.PublishRecords(s.metrics, ent.traceRecs)
 	}
-	s.finishJob(job, StateDone, &ent.rec, ent.traceRecs, src == srcHit, src == srcCoalesced, nil)
+	s.finishJob(job, StateDone, ent, src == srcHit, src == srcCoalesced, nil)
 }
 
 // finishCanceled finishes a canceled job, distinguishing a drain kill
@@ -601,7 +597,7 @@ func (s *Server) finishCanceled(job *Job, err error) {
 		err = fmt.Errorf("%w: %w", ErrDrainCanceled, err)
 		s.m.drainCanceled.Inc()
 	}
-	s.finishJob(job, StateCanceled, nil, nil, false, false, err)
+	s.finishJob(job, StateCanceled, nil, false, false, err)
 }
 
 // degradableError reports whether the exhausted failure is a distributed
@@ -637,17 +633,13 @@ func (s *Server) degrade(job *Job, g *mndmst.Graph, digest string) bool {
 	job.degraded = true
 	job.mu.Unlock()
 	s.m.degraded.Inc()
-	var traceRecs []trace.Record
-	if res.Trace != nil {
-		traceRecs = res.Trace.Records()
-	}
-	s.finishJob(job, StateDone, &rec, traceRecs, false, false, nil)
+	s.finishJob(job, StateDone, newCacheEntry(rec, res), false, false, nil)
 	return true
 }
 
 // finishJob records the terminal state in both the job and the counters.
-func (s *Server) finishJob(job *Job, state JobState, rec *Record, traceRecs []trace.Record, hit, coalesced bool, err error) {
-	ran, started := job.finish(state, rec, traceRecs, hit, coalesced, err)
+func (s *Server) finishJob(job *Job, state JobState, result *cacheEntry, hit, coalesced bool, err error) {
+	ran, started := job.finish(state, result, hit, coalesced, err)
 	switch state {
 	case StateDone:
 		s.m.jobsDone.Inc()
@@ -666,6 +658,9 @@ func (s *Server) finishJob(job *Job, state JobState, rec *Record, traceRecs []tr
 		}
 		h.Observe(ran.Seconds())
 	}
+	// Wake waiters only now, so a caller woken by Done reads stats and
+	// metrics that already count this job.
+	close(job.done)
 }
 
 // retire keeps the finished-job history bounded.

@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"mndmst/internal/boruvka"
@@ -51,8 +52,22 @@ import (
 // Graph is a weighted undirected multigraph. Edge weights are made
 // globally distinct internally, so every Graph has a unique minimum
 // spanning forest.
+//
+// A Graph must not be copied after first use. Its CSR is built once, on
+// the first FindMSF, FindMSFContext or FindMSFDistributed call, and then
+// shared read-only by every later and concurrent call.
 type Graph struct {
 	el *graph.EdgeList
+
+	csrOnce sync.Once
+	csrG    *graph.CSR
+	csrErr  error
+}
+
+// csr returns the graph's CSR, building it on first use.
+func (g *Graph) csr() (*graph.CSR, error) {
+	g.csrOnce.Do(func() { g.csrG, g.csrErr = graph.BuildCSR(g.el) })
+	return g.csrG, g.csrErr
 }
 
 // NumVertices reports the vertex count.
@@ -585,7 +600,11 @@ func FindMSF(g *Graph, opts Options) (*Result, error) {
 		}
 		machine.NodeSpeeds = opts.NodeSpeeds
 	}
-	res, err := core.Run(g.el, opts.nodes(), machine, opts.config(), opts.UseGPU)
+	csr, err := g.csr()
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.RunCSR(g.el, csr, opts.nodes(), nil, machine, opts.config(), opts.UseGPU)
 	if err != nil {
 		return nil, err
 	}
@@ -600,6 +619,10 @@ func FindMSF(g *Graph, opts Options) (*Result, error) {
 // wall-clock phase times — while other ranks return their local metrics
 // with Root == false and no forest.
 func FindMSFDistributed(g *Graph, opts Options, cfg ClusterConfig) (*Result, error) {
+	csr, err := g.csr()
+	if err != nil {
+		return nil, err
+	}
 	tcpEP, err := transport.DialTCP(cfg.tcp())
 	if err != nil {
 		return nil, fmt.Errorf("mndmst: join cluster: %w", err)
@@ -616,7 +639,7 @@ func FindMSFDistributed(g *Graph, opts Options, cfg ClusterConfig) (*Result, err
 		}
 		machine.NodeSpeeds = opts.NodeSpeeds
 	}
-	res, err := core.RunDistributed(g.el, ep, machine, opts.config(), opts.UseGPU)
+	res, err := core.RunCSR(g.el, csr, 0, ep, machine, opts.config(), opts.UseGPU)
 	if err != nil {
 		return nil, err
 	}

@@ -13,8 +13,9 @@
 #                             drain) plus the throughput bench that emits
 #                             BENCH_serve.json
 #   scripts/check.sh --bench  perf-regression gate only: the mndmst-bench
-#                             sim suite twice (byte-identity required),
-#                             validated and compared against the committed
+#                             sim suite twice and under GOMAXPROCS 1 and 8
+#                             (byte-identity required), validated and
+#                             compared against the committed
 #                             bench.baseline.json
 #   scripts/check.sh --coverage
 #                             coverage ratchet only (scripts/coverage.sh)
@@ -37,6 +38,14 @@ run_bench() {
         echo "bench gate: two sim runs are not byte-identical" >&2
         exit 1
     }
+    # The records must not depend on the host's parallelism either.
+    for procs in 1 8; do
+        GOMAXPROCS=$procs "$tmp/mndmst-bench" -mode sim -quiet -out "$tmp/run-p$procs.json"
+        cmp "$tmp/run1.json" "$tmp/run-p$procs.json" || {
+            echo "bench gate: sim records differ under GOMAXPROCS=$procs" >&2
+            exit 1
+        }
+    done
     "$tmp/mndmst-bench" -validate "$tmp/run1.json"
     "$tmp/mndmst-bench" -compare bench.baseline.json -current "$tmp/run1.json" || {
         echo "bench gate: regression vs bench.baseline.json — if intentional, regenerate the baseline:" >&2

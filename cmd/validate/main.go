@@ -1,9 +1,9 @@
 // Command validate runs the full cross-implementation invariant suite on a
-// graph: the sequential references (Kruskal, Prim, Boruvka, filter-Kruskal),
-// the shared-memory kernel, the distributed MND-MST at several node counts
-// (CPU-only and hybrid), and the BSP baseline must all produce the exact
-// same minimum spanning forest, verified independently by the path-max
-// checker. Useful as a smoke test on user-supplied inputs.
+// graph: the sequential filter-Kruskal oracle, the shared-memory kernel,
+// the distributed MND-MST at several node counts (CPU-only and hybrid),
+// and the BSP baseline must all produce the exact same minimum spanning
+// forest, verified independently by the path-max checker. Useful as a
+// smoke test on user-supplied inputs.
 //
 // Usage:
 //
@@ -60,7 +60,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
 	ref := mndmst.FindMSFSequential(g)
-	fmt.Fprintf(out, "reference (Kruskal): %d edges, %d components, weight %d\n",
+	fmt.Fprintf(out, "reference (filter-Kruskal): %d edges, %d components, weight %d\n",
 		len(ref.EdgeIDs), ref.Components, ref.TotalWeight)
 	if err := mndmst.Verify(g, ref); err != nil {
 		return fmt.Errorf("reference forest failed verification: %w", err)

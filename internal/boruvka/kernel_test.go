@@ -43,7 +43,7 @@ func TestKernelFullGraphMatchesKruskal(t *testing.T) {
 		gen.Star(40, 4),
 		gen.Path(40, 5),
 	} {
-		want := mst.Kruskal(el)
+		want := mst.FilterKruskal(el)
 		res := Run(fullLocal(t, el), DefaultOptions())
 		got := &mst.Forest{EdgeIDs: res.ChosenIDs, TotalWeight: res.ChosenWeight, Components: res.Components}
 		if !want.Equal(got) {
@@ -199,7 +199,7 @@ func TestIndependentPartitionsChooseOnlyMSTEdges(t *testing.T) {
 		n := int32(8 + rng.Intn(120))
 		m := int(n) * (1 + rng.Intn(5))
 		el := gen.ErdosRenyi(n, m, seed)
-		want := mst.Kruskal(el)
+		want := mst.FilterKruskal(el)
 		inMST := map[int32]bool{}
 		for _, id := range want.EdgeIDs {
 			inMST[id] = true
@@ -318,7 +318,7 @@ func TestTerminatorStopsEarly(t *testing.T) {
 		t.Fatalf("early stop should leave more components: %d vs %d", stopped.Components, full.Components)
 	}
 	// Early-stopped choices must still be a subset of the MST.
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	inMST := map[int32]bool{}
 	for _, id := range want.EdgeIDs {
 		inMST[id] = true
@@ -382,7 +382,7 @@ func TestContractionSameResultFewerScans(t *testing.T) {
 func TestContractionWithPartitions(t *testing.T) {
 	// Contraction must preserve the exception-condition safety.
 	el := gen.ErdosRenyi(200, 900, 39)
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	inMST := map[int32]bool{}
 	for _, id := range want.EdgeIDs {
 		inMST[id] = true
@@ -403,7 +403,7 @@ func TestHubHeavyGraphCorrect(t *testing.T) {
 	if res.Components != 1 || len(res.ChosenIDs) != 100_000 {
 		t.Fatalf("components=%d edges=%d", res.Components, len(res.ChosenIDs))
 	}
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	got := &mst.Forest{EdgeIDs: res.ChosenIDs, TotalWeight: res.ChosenWeight, Components: res.Components}
 	if !want.Equal(got) {
 		t.Fatal("hub graph forest wrong")

@@ -176,7 +176,7 @@ func checkOracle(t *testing.T, name string, el *graph.EdgeList, root *core.Resul
 	if root == nil || root.Forest == nil {
 		t.Fatalf("%s: rank 0 returned no forest", name)
 	}
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	if root.Forest.TotalWeight != want.TotalWeight || root.Forest.Components != want.Components {
 		t.Fatalf("%s: MSF diverges from Kruskal oracle: weight %d vs %d, components %d vs %d",
 			name, root.Forest.TotalWeight, want.TotalWeight, root.Forest.Components, want.Components)

@@ -470,9 +470,10 @@ func containsInt(xs []int, x int) bool {
 }
 
 // VerifyAgainstKruskal checks a Result against the sequential ground truth
-// and the full forest verifier; test helper shared by packages and cmds.
+// (mst.FilterKruskal) and the full forest verifier; test helper shared by
+// packages and cmds.
 func VerifyAgainstKruskal(el *graph.EdgeList, res *Result) error {
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	if !want.Equal(res.Forest) {
 		return fmt.Errorf("core: forest mismatch: weight %d vs %d, edges %d vs %d",
 			res.Forest.TotalWeight, want.TotalWeight, len(res.Forest.EdgeIDs), len(want.EdgeIDs))

@@ -52,7 +52,7 @@ func allIDs(n int32) []int32 {
 
 func TestIndCompCPUOnlyMatchesKruskal(t *testing.T) {
 	el := gen.ConnectedRandom(300, 1200, 7)
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	onRank(t, func(rt *Runtime) error {
 		rt.Cfg.GPUShare = 0 // force CPU path
 		res, err := rt.IndComp(allIDs(el.N), toWire(el))
@@ -72,7 +72,7 @@ func TestIndCompCPUOnlyMatchesKruskal(t *testing.T) {
 
 func TestIndCompHybridMatchesKruskal(t *testing.T) {
 	el := gen.WebGraph(2000, 20000, 0.85, 9)
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	onRank(t, func(rt *Runtime) error {
 		res, err := rt.IndComp(allIDs(el.N), toWire(el))
 		if err != nil {
@@ -100,7 +100,7 @@ func TestIndCompHybridWithExternalEdges(t *testing.T) {
 	// Owned {0..49} of a 100-vertex graph: chosen edges must be a subset
 	// of the global MST even with the device split in play.
 	el := gen.ErdosRenyi(100, 600, 11)
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	inMST := map[int32]bool{}
 	for _, id := range want.EdgeIDs {
 		inMST[id] = true
@@ -163,7 +163,7 @@ func TestReduceRemovesSelfAndMultiEdges(t *testing.T) {
 
 func TestPostProcessCompletesForest(t *testing.T) {
 	el := gen.ConnectedRandom(200, 800, 17)
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	onRank(t, func(rt *Runtime) error {
 		ids, err := rt.PostProcess(allIDs(el.N), toWire(el))
 		if err != nil {
@@ -183,7 +183,7 @@ func TestDiminishingTerminationStopsKernelEarlyOrNot(t *testing.T) {
 	// detector should never fire before natural convergence; correctness
 	// must hold either way.
 	el := gen.RoadNetwork(900, 19)
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 	onRank(t, func(rt *Runtime) error {
 		rt.Cfg.GPUShare = 0
 		rt.Cfg.DiminishingTermination = true

@@ -2,6 +2,7 @@ package mst
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -217,8 +218,11 @@ func TestVerifyForestRejectsBadForests(t *testing.T) {
 func TestForestEqual(t *testing.T) {
 	a := &Forest{EdgeIDs: []int32{2, 1}, TotalWeight: 10}
 	b := &Forest{EdgeIDs: []int32{1, 2}, TotalWeight: 10}
-	if !a.Equal(b) {
+	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatal("order should not matter")
+	}
+	if !slices.Equal(a.EdgeIDs, []int32{2, 1}) || !slices.Equal(b.EdgeIDs, []int32{1, 2}) {
+		t.Fatalf("Equal reordered its operands: %v, %v", a.EdgeIDs, b.EdgeIDs)
 	}
 	c := &Forest{EdgeIDs: []int32{1, 3}, TotalWeight: 10}
 	if a.Equal(c) {

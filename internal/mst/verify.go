@@ -26,7 +26,7 @@ import (
 // forest is a complete equality check.
 func VerifyForest(el *graph.EdgeList, f *Forest) error {
 	n := int(el.N)
-	chosen := make(map[int32]bool, len(f.EdgeIDs))
+	chosen := make([]bool, len(el.Edges))
 	var sum uint64
 	d := dsu.New(n)
 	for _, id := range f.EdgeIDs {
@@ -53,7 +53,7 @@ func VerifyForest(el *graph.EdgeList, f *Forest) error {
 	// Spanning: no non-chosen edge may join two distinct forest components.
 	for i := range el.Edges {
 		e := &el.Edges[i]
-		if chosen[e.ID] || e.U == e.V {
+		if chosen[i] || e.U == e.V {
 			continue
 		}
 		if !d.Same(e.U, e.V) {
@@ -75,11 +75,25 @@ func VerifyForest(el *graph.EdgeList, f *Forest) error {
 	for i := range parent {
 		parent[i] = -1
 	}
-	adj := make([][]int32, n) // chosen-edge adjacency: edge indices
+	// Chosen-edge adjacency, flat: the edge ids at u are adj[off[u]:off[u+1]].
+	// off[u] counts u's edges, the scan turns it into u's end, and the
+	// fill walks each cursor back to u's start.
+	off := make([]int, n+1)
 	for _, id := range f.EdgeIDs {
 		e := &el.Edges[id]
-		adj[e.U] = append(adj[e.U], id)
-		adj[e.V] = append(adj[e.V], id)
+		off[e.U]++
+		off[e.V]++
+	}
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	adj := make([]int32, 2*len(f.EdgeIDs))
+	for _, id := range f.EdgeIDs {
+		e := &el.Edges[id]
+		off[e.U]--
+		adj[off[e.U]] = id
+		off[e.V]--
+		adj[off[e.V]] = id
 	}
 	seen := make([]bool, n)
 	queue := make([]int32, 0, n)
@@ -92,7 +106,7 @@ func VerifyForest(el *graph.EdgeList, f *Forest) error {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, id := range adj[u] {
+			for _, id := range adj[off[u]:off[u+1]] {
 				e := &el.Edges[id]
 				v := e.U
 				if v == u {
@@ -136,7 +150,7 @@ func VerifyForest(el *graph.EdgeList, f *Forest) error {
 	}
 	for i := range el.Edges {
 		e := &el.Edges[i]
-		if chosen[e.ID] || e.U == e.V {
+		if chosen[i] || e.U == e.V {
 			continue
 		}
 		if m := pathMax(e.U, e.V); graph.WeightLess(e.W, m) {

@@ -9,8 +9,8 @@ import (
 )
 
 // Systems a job may request. SystemMND is the paper's algorithm (the
-// default), SystemBSP the Pregel+-style baseline, SystemSeq sequential
-// Kruskal ground truth.
+// default), SystemBSP the Pregel+-style baseline, SystemSeq the
+// single-threaded filter-Kruskal ground truth.
 const (
 	SystemMND = "mnd"
 	SystemBSP = "bsp"

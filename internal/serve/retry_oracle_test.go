@@ -164,7 +164,7 @@ func oracleRun(t *testing.T, seed int64, el *graph.EdgeList, failFor, maxAttempt
 func TestRetryOracleTransientConverges(t *testing.T) {
 	seed := testutil.Seed(t, 20250814)
 	el := gen.ConnectedRandom(150, 500, seed)
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 
 	job, exec, st, metrics := oracleRun(t, seed, el, 2, 3)
 	if got := job.State(); got != StateDone {
@@ -258,7 +258,7 @@ func TestRetryOracleFailsWithoutRetry(t *testing.T) {
 func TestRetryOracleDegradesAfterExhaustion(t *testing.T) {
 	seed := testutil.Seed(t, 20250815)
 	el := gen.ConnectedRandom(150, 500, seed)
-	want := mst.Kruskal(el)
+	want := mst.FilterKruskal(el)
 
 	// failFor 2 = the whole budget: both distributed attempts crash; the
 	// third execution is the server's local fallback, which runs clean.

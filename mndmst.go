@@ -709,10 +709,12 @@ func FindMSFBSP(g *Graph, opts Options) (*Result, error) {
 	return resultFromForest(res.Forest, res.Report), nil
 }
 
-// FindMSFSequential computes the forest with sequential Kruskal — the
-// ground truth every parallel configuration must match exactly.
+// FindMSFSequential computes the forest with a single-threaded
+// filter-Kruskal — the ground truth every parallel configuration must
+// match exactly, and the COST baseline the parallel times are set against.
+// It starts no goroutine.
 func FindMSFSequential(g *Graph) *Result {
-	f := mst.Kruskal(g.el)
+	f := mst.FilterKruskal(g.el)
 	return &Result{
 		EdgeIDs:     f.EdgeIDs,
 		TotalWeight: f.TotalWeight,

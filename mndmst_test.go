@@ -1,9 +1,12 @@
 package mndmst
 
 import (
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mndmst/internal/graph"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -115,6 +118,32 @@ func TestPublicAPISaveLoad(t *testing.T) {
 	b := FindMSFSequential(back)
 	if a.TotalWeight != b.TotalWeight {
 		t.Fatal("round trip changed the MSF")
+	}
+}
+
+// TestLoadGraphDuplicateWeights: a graph file keeps its raw weights, and
+// nothing rejects equal ones, so the sequential oracle must still
+// terminate on them with a forest Verify accepts.
+func TestLoadGraphDuplicateWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	el := &graph.EdgeList{N: 1000, Edges: make([]graph.Edge, 5000)}
+	for i := range el.Edges {
+		el.Edges[i] = graph.Edge{U: rng.Int31n(el.N), V: rng.Int31n(el.N), W: 42, ID: int32(i)}
+	}
+	path := filepath.Join(t.TempDir(), "ties.mnd")
+	if err := graph.SaveEdgeList(path, el); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := FindMSFSequential(g)
+	if err := Verify(g, res); err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(42 * len(res.EdgeIDs)); res.TotalWeight != want {
+		t.Fatalf("weight %d, want %d", res.TotalWeight, want)
 	}
 }
 

@@ -59,7 +59,7 @@ func (w *workload) runMND(el *graph.EdgeList, p int, m cost.Machine, cfg hypar.C
 		return nil, err
 	}
 	if w.opts.Verify {
-		if err := core.VerifyAgainstKruskal(el, res); err != nil {
+		if err := core.VerifyAgainstOracle(el, res); err != nil {
 			return nil, err
 		}
 	}
@@ -489,7 +489,7 @@ func ExtensionWeakScaling(opts Opts) (*Table, error) {
 			return nil, err
 		}
 		if opts.Verify {
-			if err := core.VerifyAgainstKruskal(el, res); err != nil {
+			if err := core.VerifyAgainstOracle(el, res); err != nil {
 				return nil, err
 			}
 		}

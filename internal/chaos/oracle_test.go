@@ -181,7 +181,7 @@ func checkOracle(t *testing.T, name string, el *graph.EdgeList, root *core.Resul
 		t.Fatalf("%s: MSF diverges from Kruskal oracle: weight %d vs %d, components %d vs %d",
 			name, root.Forest.TotalWeight, want.TotalWeight, root.Forest.Components, want.Components)
 	}
-	if err := core.VerifyAgainstKruskal(el, root); err != nil {
+	if err := core.VerifyAgainstOracle(el, root); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 }

@@ -40,7 +40,6 @@ type Cluster struct {
 	// transport endpoint of local[i].
 	local []int
 	eps   []transport.Transport
-	coll  collectiveEngine
 	wall  bool // record real wall-clock per phase (distributed mode)
 
 	// abortOnce latches the first rank failure; abortCause records it for
@@ -52,14 +51,15 @@ type Cluster struct {
 }
 
 // New creates an in-process cluster of p ranks with the given network
-// model: every rank is a goroutine, delivery is the in-memory transport,
-// and collectives resolve at a shared rendezvous.
+// model: every rank is a goroutine and delivery is the in-memory
+// transport. Collectives run the same point-to-point protocol as a
+// distributed cluster, over the in-memory mailboxes.
 func New(p int, comm cost.CommModel) *Cluster {
 	if p < 1 {
 		panic(fmt.Sprintf("cluster: invalid rank count %d", p))
 	}
 	mems := transport.NewMem(p)
-	c := &Cluster{p: p, comm: comm, coll: newRendezvous(p)}
+	c := &Cluster{p: p, comm: comm}
 	c.local = make([]int, p)
 	c.eps = make([]transport.Transport, p)
 	for i := 0; i < p; i++ {
@@ -71,17 +71,15 @@ func New(p int, comm cost.CommModel) *Cluster {
 
 // NewDistributed creates the local member of a multi-process cluster: ep is
 // this process's endpoint of a P-rank transport (e.g. the TCP backend), and
-// Run executes the rank program for that one rank. Collectives run as
-// point-to-point algorithms over the transport and resolve to the same
-// synchronized virtual clocks as the in-process rendezvous, so simulated
-// times agree across backends. Wall-clock phase timing is enabled.
+// Run executes the rank program for that one rank. Collectives run the
+// same point-to-point protocol as in-process, so simulated times agree
+// across backends. Wall-clock phase timing is enabled.
 func NewDistributed(ep transport.Transport, comm cost.CommModel) *Cluster {
 	return &Cluster{
 		p:     ep.P(),
 		comm:  comm,
 		local: []int{ep.Rank()},
 		eps:   []transport.Transport{ep},
-		coll:  p2pCollectives{},
 		wall:  true,
 	}
 }
@@ -152,9 +150,10 @@ func (c *Cluster) Run(fn func(r *Rank) error) (*Report, error) {
 // AbortBroadcast fails every communication path of this cluster's local
 // endpoints with a typed cascade error naming the failed rank and its
 // cause. In-process, the shared mailbox matrix fails, unblocking all P
-// ranks at once; in distributed mode the local endpoint's connections
-// close, which remote peers observe as immediate read failures — far
-// faster than their heartbeat watchdogs. Combined with per-op transport
+// ranks at once, whether they wait in a receive or in a collective; in
+// distributed mode the local endpoint's connections close, which remote
+// peers observe as immediate read failures — far faster than their
+// heartbeat watchdogs. Combined with per-op transport
 // deadlines this bounds how long one dead rank can stall the run: every
 // surviving rank's pending operation returns an error instead of hanging.
 // Idempotent; the first (rank, cause) wins. Run invokes it automatically
@@ -166,9 +165,6 @@ func (c *Cluster) AbortBroadcast(rank int, cause error) {
 		c.abortMu.Lock()
 		c.abortCause = ae
 		c.abortMu.Unlock()
-		if rv, ok := c.coll.(*rendezvous); ok {
-			rv.abort(ae)
-		}
 		for _, ep := range c.eps {
 			if a, ok := ep.(transport.Aborter); ok {
 				a.Abort(ae)
@@ -381,7 +377,7 @@ func (r *Rank) Recv(src, tag int) []byte {
 
 // sendCtrl ships a zero-cost control message (collective internals, report
 // gathering) directly over the transport: no α–β charge, no traffic
-// counters — the rendezvous-priced collectives never counted them either.
+// counters — the collectives that use them are priced analytically.
 func (r *Rank) sendCtrl(dst int, tag int32, data []byte) {
 	if err := r.ep.Send(dst, transport.Message{Tag: tag, Data: data}); err != nil {
 		panic(commFailure{rankLost("collective send", dst, err)})

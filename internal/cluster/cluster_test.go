@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mndmst/internal/cost"
 )
@@ -63,6 +65,78 @@ func TestRunAggregatesAllErrors(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("rank %d error missing from %q", rank, err)
+		}
+	}
+}
+
+// TestRunFailureDuringCollectiveAborts fails one in-process rank while its
+// peers wait in a collective it will never join. The abort must unblock
+// every peer: Run returns promptly, the joined error names the failing
+// rank, and each peer fails with an AbortError cascade naming that rank.
+func TestRunFailureDuringCollectiveAborts(t *testing.T) {
+	const p = 4
+	for _, coll := range []struct {
+		name string
+		wait func(r *Rank)
+	}{
+		{"Barrier", func(r *Rank) { r.Barrier() }},
+		{"Allreduce", func(r *Rank) { r.Allreduce([]int64{1}, OpSum) }},
+		{"StatAllreduce", func(r *Rank) { r.StatAllreduce([]int64{1}, OpMax) }},
+	} {
+		// Rank 0 gathers the round; a failing non-root leaves it waiting
+		// on the gather, a failing root leaves the peers waiting on the
+		// broadcast.
+		for _, failing := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/rank%d", coll.name, failing), func(t *testing.T) {
+				boom := errors.New("boom")
+				peerErrs := make([]error, p)
+				var entering sync.WaitGroup
+				entering.Add(p - 1)
+				done := make(chan error, 1)
+				go func() {
+					_, err := New(p, testComm()).Run(func(r *Rank) error {
+						if r.ID() == failing {
+							entering.Wait()
+							return boom
+						}
+						entering.Done()
+						defer func() {
+							if e := recover(); e != nil {
+								if cf, ok := e.(commFailure); ok {
+									peerErrs[r.ID()] = cf.err
+								}
+								panic(e)
+							}
+						}()
+						coll.wait(r)
+						return nil
+					})
+					done <- err
+				}()
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("Run did not return after a rank failed during the collective")
+				}
+				if !errors.Is(err, boom) {
+					t.Fatalf("joined error %q lost the root cause", err)
+				}
+				msg := err.Error()
+				if !strings.Contains(msg, fmt.Sprintf("cluster: rank %d: boom", failing)) ||
+					!strings.Contains(msg, fmt.Sprintf("%d more rank(s) failed from the same cause", p-1)) {
+					t.Fatalf("joined error %q does not name rank %d and its %d cascades", msg, failing, p-1)
+				}
+				for id, pe := range peerErrs {
+					if id == failing {
+						continue
+					}
+					var ae *AbortError
+					if !errors.As(pe, &ae) || ae.Rank != failing || !errors.Is(ae, boom) {
+						t.Fatalf("rank %d failed with %v, want an AbortError cascade of rank %d", id, pe, failing)
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
-
-	"mndmst/internal/wire"
+	"slices"
 )
 
 // ReduceOp is an elementwise combination for Allreduce.
@@ -38,117 +36,6 @@ func (op ReduceOp) apply(a, b int64) int64 {
 	}
 }
 
-// collectiveEngine resolves one synchronization round: it returns the
-// maximum virtual clock across all ranks and, for allreduce, the reduced
-// vector. Two implementations exist — the in-process rendezvous (all ranks
-// share the Cluster) and the point-to-point engine distributed clusters run
-// over their transport. Both produce identical results for identical
-// inputs, so simulated times agree across backends.
-type collectiveEngine interface {
-	resolve(r *Rank, vals []int64, op ReduceOp) (float64, []int64)
-}
-
-// rendezvous is a reusable all-rank synchronization point that also carries
-// reduction state. The last arriver resolves the round and wakes everyone.
-type rendezvous struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	p     int
-	count int
-	gen   int64
-
-	maxNow float64
-	acc    []int64 // reduction accumulator (nil for plain barriers)
-	accSet bool
-
-	// Resolved values of the finished round; valid until the NEXT round
-	// resolves, which cannot happen before every rank has read them.
-	relNow float64
-	relAcc []int64
-
-	// err is the sticky abort cause: once set, every rank blocked at (or
-	// arriving at) the rendezvous fails with it instead of waiting for a
-	// round that can no longer complete — the in-process counterpart of a
-	// dead peer failing a transport receive.
-	err error
-}
-
-func newRendezvous(p int) *rendezvous {
-	rv := &rendezvous{p: p}
-	rv.cond = sync.NewCond(&rv.mu)
-	return rv
-}
-
-// sync enters the rendezvous with the rank's clock and optional reduction
-// contribution; it returns the synchronized max clock and the reduced
-// vector (nil for plain barriers). All participating ranks must agree on
-// whether vals is nil and on its length.
-func (rv *rendezvous) sync(now float64, vals []int64, op ReduceOp) (float64, []int64) {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	if rv.err != nil {
-		panic(commFailure{rv.err})
-	}
-	if now > rv.maxNow {
-		rv.maxNow = now
-	}
-	if vals != nil {
-		if !rv.accSet {
-			rv.acc = append(rv.acc[:0], vals...)
-			rv.accSet = true
-		} else {
-			if len(vals) != len(rv.acc) {
-				panic(fmt.Sprintf("cluster: allreduce length mismatch %d vs %d", len(vals), len(rv.acc)))
-			}
-			for i, v := range vals {
-				rv.acc[i] = op.apply(rv.acc[i], v)
-			}
-		}
-	}
-	rv.count++
-	if rv.count == rv.p {
-		// Resolve the round.
-		rv.relNow = rv.maxNow
-		if rv.accSet {
-			rv.relAcc = append([]int64(nil), rv.acc...)
-		} else {
-			rv.relAcc = nil
-		}
-		rv.count = 0
-		rv.maxNow = 0
-		rv.accSet = false
-		rv.gen++
-		rv.cond.Broadcast()
-		return rv.relNow, rv.relAcc
-	}
-	gen := rv.gen
-	for rv.gen == gen && rv.err == nil {
-		rv.cond.Wait()
-	}
-	if rv.gen == gen {
-		// Aborted before the round could resolve: some rank died and will
-		// never arrive. Fail instead of waiting forever.
-		panic(commFailure{rv.err})
-	}
-	return rv.relNow, rv.relAcc
-}
-
-// abort fails the rendezvous with cause: every waiting rank wakes and
-// fails, and every future sync fails immediately. The first cause wins.
-func (rv *rendezvous) abort(cause error) {
-	rv.mu.Lock()
-	if rv.err == nil {
-		rv.err = cause
-	}
-	rv.mu.Unlock()
-	rv.cond.Broadcast()
-}
-
-// resolve implements collectiveEngine at the shared rendezvous.
-func (rv *rendezvous) resolve(r *Rank, vals []int64, op ReduceOp) (float64, []int64) {
-	return rv.sync(r.now, vals, op)
-}
-
 // Control tags of the point-to-point collective and report protocols. They
 // sit in their own band, far from the application tags (merge: small
 // positive; composed collectives: around -100).
@@ -158,23 +45,16 @@ const (
 	tagReport      int32 = -9003
 )
 
-// p2pCollectives resolves collectives for distributed clusters with a flat
-// gather-to-0/broadcast exchange of control messages over the transport.
-// Control traffic carries no α–β charge and no byte counters — exactly
-// like the rendezvous, whose analytic pricing already covers the
-// collective — so a distributed run's virtual clocks match the in-process
-// run bit for bit.
-type p2pCollectives struct{}
-
 // encodeCollect packs a rank's contribution (or the resolved round):
-// clock, has-values flag, values.
+// clock, has-values flag, value count, values, as little-endian uint64s.
 func encodeCollect(now float64, vals []int64, hasVals bool) []byte {
-	buf := wire.AppendUint64(nil, math.Float64bits(now))
 	flag := uint64(0)
 	if hasVals {
 		flag = 1
 	}
-	buf = wire.AppendUint64(buf, flag)
+	buf := make([]byte, 0, 24+8*len(vals))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(now))
+	buf = binary.LittleEndian.AppendUint64(buf, flag)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(vals)))
 	for _, v := range vals {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
@@ -182,49 +62,45 @@ func encodeCollect(now float64, vals []int64, hasVals bool) []byte {
 	return buf
 }
 
-// decodeCollect unpacks encodeCollect's payload.
+// decodeCollect unpacks encodeCollect's payload; vals is nil unless the
+// flag is set.
 func decodeCollect(buf []byte) (now float64, vals []int64, hasVals bool) {
-	bits, buf, err := wire.TakeUint64(buf)
-	if err != nil {
-		panic(commFailure{fmt.Errorf("collective payload: %w", err)})
+	if len(buf) < 24 || len(buf)%8 != 0 || binary.LittleEndian.Uint64(buf[16:]) != uint64(len(buf)/8-3) {
+		panic(commFailure{fmt.Errorf("cluster: malformed collective payload of %d bytes", len(buf))})
 	}
-	flag, buf, err := wire.TakeUint64(buf)
-	if err != nil {
-		panic(commFailure{fmt.Errorf("collective payload: %w", err)})
+	now = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+	if hasVals = binary.LittleEndian.Uint64(buf[8:]) == 1; hasVals {
+		vals = make([]int64, len(buf)/8-3)
+		for i := range vals {
+			vals[i] = int64(binary.LittleEndian.Uint64(buf[24+8*i:]))
+		}
 	}
-	vs, _, err := wire.TakeUint64s(buf)
-	if err != nil {
-		panic(commFailure{fmt.Errorf("collective payload: %w", err)})
-	}
-	vals = make([]int64, len(vs))
-	for i, v := range vs {
-		vals[i] = int64(v)
-	}
-	return math.Float64frombits(bits), vals, flag == 1
+	return now, vals, hasVals
 }
 
-func (p2pCollectives) resolve(r *Rank, vals []int64, op ReduceOp) (float64, []int64) {
+// resolve runs one synchronization round and returns the maximum virtual
+// clock across all ranks and, for allreduce, the reduced vector in a fresh
+// slice (nil for a barrier, whose vals is nil). It is a flat
+// gather-to-0/broadcast exchange of control messages over the rank's
+// transport endpoint, the same on the in-process mailboxes as over TCP.
+// Control traffic carries no α–β charge and no byte counters: the callers
+// price the collective analytically, so in-process and distributed runs
+// produce the same virtual clocks bit for bit. Rank 0 folds the
+// contributions in rank order, so the result does not depend on arrival
+// order. A rank that fails mid-round aborts the endpoints (see
+// AbortBroadcast), which unblocks every rank waiting here.
+func (r *Rank) resolve(vals []int64, op ReduceOp) (float64, []int64) {
 	p := r.c.p
 	hasVals := vals != nil
 	if p == 1 {
-		if !hasVals {
-			return r.now, nil
-		}
-		return r.now, append([]int64(nil), vals...)
+		return r.now, slices.Clone(vals)
 	}
 	if r.id != 0 {
 		r.sendCtrl(0, tagCollectUp, encodeCollect(r.now, vals, hasVals))
-		maxNow, acc, has := decodeCollect(r.recvCtrl(0, tagCollectDown))
-		if !has {
-			return maxNow, nil
-		}
+		maxNow, acc, _ := decodeCollect(r.recvCtrl(0, tagCollectDown))
 		return maxNow, acc
 	}
-	maxNow := r.now
-	var acc []int64
-	if hasVals {
-		acc = append([]int64(nil), vals...)
-	}
+	maxNow, acc := r.now, slices.Clone(vals)
 	for src := 1; src < p; src++ {
 		now, rv, rHas := decodeCollect(r.recvCtrl(src, tagCollectUp))
 		if now > maxNow {
@@ -252,7 +128,7 @@ func (p2pCollectives) resolve(r *Rank, vals []int64, op ReduceOp) (float64, []in
 // Barrier synchronizes all ranks: every clock advances to the maximum
 // across ranks plus the modeled dissemination-barrier cost.
 func (r *Rank) Barrier() {
-	maxNow, _ := r.c.coll.resolve(r, nil, OpSum)
+	maxNow, _ := r.resolve(nil, OpSum)
 	r.chargeCommUntil(maxNow + r.c.comm.BarrierSeconds(r.c.p))
 }
 
@@ -263,11 +139,9 @@ func (r *Rank) Allreduce(vals []int64, op ReduceOp) []int64 {
 	if vals == nil {
 		vals = []int64{}
 	}
-	maxNow, red := r.c.coll.resolve(r, vals, op)
+	maxNow, red := r.resolve(vals, op)
 	r.chargeCommUntil(maxNow + r.c.comm.AllreduceSeconds(int64(8*len(vals)), r.c.p))
-	out := make([]int64, len(red))
-	copy(out, red)
-	return out
+	return red
 }
 
 // AllreduceScalar is Allreduce for a single value.
@@ -286,8 +160,6 @@ func (r *Rank) StatAllreduce(vals []int64, op ReduceOp) []int64 {
 	if vals == nil {
 		vals = []int64{}
 	}
-	_, red := r.c.coll.resolve(r, vals, op)
-	out := make([]int64, len(red))
-	copy(out, red)
-	return out
+	_, red := r.resolve(vals, op)
+	return red
 }

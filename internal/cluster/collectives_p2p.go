@@ -1,10 +1,10 @@
 package cluster
 
-// Point-to-point-composed collectives. Unlike Barrier/Allreduce (which are
-// priced analytically at the rendezvous), these are implemented as the
-// actual message-passing algorithms an MPI library would run, so their
-// simulated cost emerges from the α–β charges of the underlying sends —
-// including the pipeline and tree effects.
+// Point-to-point-composed collectives. Barrier and Allreduce exchange
+// free control messages and price the collective analytically; these are
+// instead the actual message-passing algorithms an MPI library would run,
+// so their simulated cost emerges from the α–β charges of the underlying
+// sends — including the pipeline and tree effects.
 
 // tag space reserved for the composed collectives.
 const (

@@ -38,10 +38,10 @@ func TestProtocolViolationsPanic(t *testing.T) {
 }
 
 func TestAllreduceLengthMismatchPanics(t *testing.T) {
-	// The second arriver detects the mismatch and panics; the first waits
-	// forever (the simulated program is broken, as a real MPI program
-	// would be), so the cluster run never returns — run it detached and
-	// only wait for the detection signal.
+	// Rank 0 folds the contributions, detects the mismatch and panics;
+	// rank 1 waits forever (the simulated program is broken, as a real MPI
+	// program would be), so the cluster run never returns — run it
+	// detached and only wait for the detection signal.
 	c := New(2, testComm())
 	panicked := make(chan bool, 2)
 	go func() {

@@ -77,7 +77,7 @@ func TestChaosConfig(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if err := VerifyAgainstKruskal(el, res); err != nil {
+		if err := VerifyAgainstOracle(el, res); err != nil {
 			t.Logf("seed %d p=%d cfg=%+v: %v", seed, p, cfg, err)
 			return false
 		}

@@ -38,7 +38,7 @@ func TestConfigExtremes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if err := VerifyAgainstKruskal(el, res); err != nil {
+		if err := VerifyAgainstOracle(el, res); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestSingleVertexAndSingleEdge(t *testing.T) {
 	if len(res.Forest.EdgeIDs) != 1 || res.Forest.Components != 1 {
 		t.Fatalf("forest=%+v", res.Forest)
 	}
-	if err := VerifyAgainstKruskal(pair, res); err != nil {
+	if err := VerifyAgainstOracle(pair, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,7 +128,7 @@ func TestRecursionThreshold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("min=%d: %v", min, err)
 		}
-		if err := VerifyAgainstKruskal(el, res); err != nil {
+		if err := VerifyAgainstOracle(el, res); err != nil {
 			t.Fatalf("min=%d: %v", min, err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestMultiGPU(t *testing.T) {
 		if err != nil {
 			t.Fatalf("gpus=%d: %v", k, err)
 		}
-		if err := VerifyAgainstKruskal(el, res); err != nil {
+		if err := VerifyAgainstOracle(el, res); err != nil {
 			t.Fatalf("gpus=%d: %v", k, err)
 		}
 		exe := res.Report.ExecutionTime()

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sort"
 
-	"mndmst/internal/boruvka"
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
 	"mndmst/internal/device"
@@ -469,10 +468,10 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// VerifyAgainstKruskal checks a Result against the sequential ground truth
+// VerifyAgainstOracle checks a Result against the sequential ground truth
 // (mst.FilterKruskal) and the full forest verifier; test helper shared by
 // packages and cmds.
-func VerifyAgainstKruskal(el *graph.EdgeList, res *Result) error {
+func VerifyAgainstOracle(el *graph.EdgeList, res *Result) error {
 	want := mst.FilterKruskal(el)
 	if !want.Equal(res.Forest) {
 		return fmt.Errorf("core: forest mismatch: weight %d vs %d, edges %d vs %d",
@@ -480,7 +479,3 @@ func VerifyAgainstKruskal(el *graph.EdgeList, res *Result) error {
 	}
 	return mst.VerifyForest(el, res.Forest)
 }
-
-// DefaultKernelExcpt re-exports the Algorithm 1 exception condition for
-// callers configuring ablations.
-const DefaultKernelExcpt = boruvka.ExcptBorderVertex

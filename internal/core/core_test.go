@@ -23,7 +23,7 @@ func TestMNDMSTMatchesKruskalAcrossRankCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if err := VerifyAgainstKruskal(el, res); err != nil {
+		if err := VerifyAgainstOracle(el, res); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 	}
@@ -45,7 +45,7 @@ func TestMNDMSTWorkloadFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if err := VerifyAgainstKruskal(tc.el, res); err != nil {
+		if err := VerifyAgainstOracle(tc.el, res); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
@@ -64,7 +64,7 @@ func TestMNDMSTDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstKruskal(el, res); err != nil {
+	if err := VerifyAgainstOracle(el, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Forest.Components != 5 { // {0,1,2}, {4,5,6}, {3}, {7}, {8}
@@ -89,7 +89,7 @@ func TestMNDMSTMoreRanksThanVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstKruskal(el, res); err != nil {
+	if err := VerifyAgainstOracle(el, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,7 +102,7 @@ func TestMNDMSTWithGPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstKruskal(el, res); err != nil {
+	if err := VerifyAgainstOracle(el, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -118,7 +118,7 @@ func TestMNDMSTGPUFasterOnLargeGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstKruskal(el, gpuRes); err != nil {
+	if err := VerifyAgainstOracle(el, gpuRes); err != nil {
 		t.Fatal(err)
 	}
 	tCPU := cpuRes.Report.ExecutionTime()
@@ -169,7 +169,7 @@ func TestMNDMSTPropertyRandomGraphsAndClusterShapes(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		if err := VerifyAgainstKruskal(el, res); err != nil {
+		if err := VerifyAgainstOracle(el, res); err != nil {
 			t.Logf("seed %d p=%d: %v", seed, p, err)
 			return false
 		}
@@ -189,7 +189,7 @@ func TestMNDMSTGroupSizeVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("groupSize=%d: %v", gs, err)
 		}
-		if err := VerifyAgainstKruskal(el, res); err != nil {
+		if err := VerifyAgainstOracle(el, res); err != nil {
 			t.Fatalf("groupSize=%d: %v", gs, err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestMNDMSTExceptionConditionVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("excpt=%d: %v", ex, err)
 		}
-		if err := VerifyAgainstKruskal(el, res); err != nil {
+		if err := VerifyAgainstOracle(el, res); err != nil {
 			t.Fatalf("excpt=%d: %v", ex, err)
 		}
 	}
@@ -218,7 +218,7 @@ func TestMNDMSTDiminishingTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstKruskal(el, res); err != nil {
+	if err := VerifyAgainstOracle(el, res); err != nil {
 		t.Fatal(err)
 	}
 }

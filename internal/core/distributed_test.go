@@ -92,7 +92,7 @@ func TestRunDistributedMatchesInProcess(t *testing.T) {
 			t.Fatalf("forest edge %d: %d vs %d", i, id, want.Forest.EdgeIDs[i])
 		}
 	}
-	if err := VerifyAgainstKruskal(el, root); err != nil {
+	if err := VerifyAgainstOracle(el, root); err != nil {
 		t.Fatal(err)
 	}
 	// Acceptance bar 2: bit-identical simulated clocks across backends.
@@ -150,7 +150,7 @@ func TestRunDistributedTwoRanksRoadGraph(t *testing.T) {
 	if got[0].Forest.TotalWeight != want.Forest.TotalWeight {
 		t.Fatalf("weight %d vs %d", got[0].Forest.TotalWeight, want.Forest.TotalWeight)
 	}
-	if err := VerifyAgainstKruskal(el, got[0]); err != nil {
+	if err := VerifyAgainstOracle(el, got[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got[0].Report.ExecutionTime() != want.Report.ExecutionTime() {

@@ -19,7 +19,7 @@ func TestHeterogeneousCorrectness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstKruskal(el, res); err != nil {
+	if err := VerifyAgainstOracle(el, res); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,7 +36,7 @@ func TestWeightedPartitionHelpsHeterogeneousCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyAgainstKruskal(el, aware); err != nil {
+	if err := VerifyAgainstOracle(el, aware); err != nil {
 		t.Fatal(err)
 	}
 

@@ -107,22 +107,6 @@ func (c *Concurrent) Flatten() {
 // root).
 func (c *Concurrent) Parent(x int32) int32 { return c.parent[x].Load() }
 
-// SetParent forcibly points x at p. Used when installing externally computed
-// component labels (e.g. after a merge phase imports remote parents).
-func (c *Concurrent) SetParent(x, p int32) { c.parent[x].Store(p) }
-
-// Roots returns the sorted-by-position list of elements that are their own
-// parent. Call after Flatten for the component representative set.
-func (c *Concurrent) Roots() []int32 {
-	var roots []int32
-	for i := range c.parent {
-		if c.parent[i].Load() == int32(i) {
-			roots = append(roots, int32(i))
-		}
-	}
-	return roots
-}
-
 // CountSets returns the number of roots. Call after Flatten (or any
 // quiescent point) for an exact answer.
 func (c *Concurrent) CountSets() int {

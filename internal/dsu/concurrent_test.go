@@ -61,8 +61,8 @@ func TestConcurrentFlattenDepthOne(t *testing.T) {
 	if c.CountSets() != 1 {
 		t.Fatalf("sets=%d want 1", c.CountSets())
 	}
-	if roots := c.Roots(); len(roots) != 1 || roots[0] != 0 {
-		t.Fatalf("roots=%v want [0]", roots)
+	if p := c.Parent(n - 1); p != 0 {
+		t.Fatalf("parent of %d = %d, want root 0", n-1, p)
 	}
 }
 
@@ -117,9 +117,9 @@ func TestConcurrentParallelUnionsMatchSequential(t *testing.T) {
 	}
 }
 
-func TestConcurrentSetParentAndReset(t *testing.T) {
+func TestConcurrentReset(t *testing.T) {
 	c := NewConcurrent(4)
-	c.SetParent(3, 0)
+	c.TryUnion(3, 0)
 	if c.Find(3) != 0 {
 		t.Fatalf("Find(3)=%d", c.Find(3))
 	}

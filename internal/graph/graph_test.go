@@ -222,53 +222,19 @@ func TestCountComponents(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	// Star on 9 vertices: center degree 8, leaves degree 1.
-	el := &EdgeList{N: 9}
-	for i := int32(1); i < 9; i++ {
-		el.Edges = append(el.Edges, Edge{U: 0, V: i, W: MakeWeight(uint16(i), i-1), ID: i - 1})
-	}
-	h := ComputeDegreeHistogram(MustBuildCSR(el))
-	if h.Max != 8 {
-		t.Fatalf("max=%d", h.Max)
-	}
-	if h.P50 != 1 {
-		t.Fatalf("p50=%d", h.P50)
-	}
-	if h.P99 != 8 {
-		t.Fatalf("p99=%d", h.P99)
-	}
-	// Bucket 1 (degree 1) holds the 8 leaves; bucket for degree 8 holds 1.
-	if h.Buckets[1] != 8 {
-		t.Fatalf("buckets=%v", h.Buckets)
-	}
-	var total int64
-	for _, c := range h.Buckets {
-		total += c
-	}
-	if total != 9 {
-		t.Fatalf("histogram covers %d vertices", total)
-	}
-	// Degenerate cases.
-	if got := ComputeDegreeHistogram(MustBuildCSR(&EdgeList{N: 0})); got.Max != 0 {
-		t.Fatalf("empty histogram: %+v", got)
-	}
-	iso := ComputeDegreeHistogram(MustBuildCSR(&EdgeList{N: 3}))
-	if iso.Buckets[0] != 3 || iso.Max != 0 {
-		t.Fatalf("isolated: %+v", iso)
-	}
-}
-
-func TestBucketOfMonotone(t *testing.T) {
-	prev := -1
-	for d := int64(0); d < 100; d++ {
-		b := bucketOf(d)
-		if b < prev {
-			t.Fatalf("bucketOf not monotone at %d", d)
+// TestWeightLessTotalOrderUnderEqualClasses pins the determinism contract
+// of packed weights: within one 16-bit weight class the order is exactly
+// the edge-id order, and across classes the class dominates.
+func TestWeightLessTotalOrderUnderEqualClasses(t *testing.T) {
+	for i := int32(0); i < 200; i++ {
+		for j := int32(0); j < 200; j++ {
+			got := WeightLess(MakeWeight(7, i), MakeWeight(7, j))
+			if got != (i < j) {
+				t.Fatalf("WeightLess(class7:%d, class7:%d) = %v, want %v", i, j, got, i < j)
+			}
 		}
-		prev = b
 	}
-	if bucketOf(1) != 1 || bucketOf(2) != 2 || bucketOf(3) != 3 || bucketOf(4) != 3 || bucketOf(5) != 4 {
-		t.Fatal("bucket boundaries wrong")
+	if !WeightLess(MakeWeight(3, 1000), MakeWeight(4, 0)) {
+		t.Fatal("weight class does not dominate edge id")
 	}
 }

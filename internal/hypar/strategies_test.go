@@ -40,7 +40,7 @@ func runStrategy(t *testing.T, el *graph.EdgeList, ranks int, mut func(*hypar.Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.VerifyAgainstKruskal(el, res); err != nil {
+	if err := core.VerifyAgainstOracle(el, res); err != nil {
 		t.Fatal(err)
 	}
 	return res

@@ -3,9 +3,10 @@
 // correctness rests on — conventions a general-purpose linter cannot know:
 //
 //   - det-mapiter: no Go map iteration order may leak into rank-visible
-//     output on the data path (merge, partition, cluster, hashtable, core).
-//     Bit-identical virtual clocks across transports require every rank to
-//     produce byte-identical messages, and map order is the classic leak.
+//     output on the data path (merge, partition, cluster, hypar, boruvka,
+//     core). Bit-identical virtual clocks across transports require every
+//     rank to produce byte-identical messages, and map order is the classic
+//     leak.
 //   - det-wallclock: time.Now/time.Since and the global math/rand source are
 //     confined to the packages that legitimately touch real time (trace,
 //     transport, gen); everywhere else they break run-to-run determinism.
@@ -83,7 +84,7 @@ var Checks = []Check{
 	{
 		ID:       "det-mapiter",
 		Suppress: "sorted",
-		Doc:      "map iteration order must not reach rank-visible data on the merge/partition/cluster/hashtable/core path",
+		Doc:      "map iteration order must not reach rank-visible data on the merge/partition/cluster/hypar/boruvka/core path",
 		Run:      checkMapIter,
 	},
 	{

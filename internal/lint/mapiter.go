@@ -12,7 +12,8 @@ var dataPathPkgs = map[string]bool{
 	"merge":     true,
 	"partition": true,
 	"cluster":   true,
-	"hashtable": true,
+	"hypar":     true,
+	"boruvka":   true,
 	"core":      true,
 }
 

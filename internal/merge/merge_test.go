@@ -1,11 +1,15 @@
 package merge
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"mndmst/internal/cluster"
 	"mndmst/internal/cost"
+	"mndmst/internal/testutil"
 	"mndmst/internal/wire"
 )
 
@@ -81,6 +85,182 @@ func TestRemoveMultiEdgesDeterministic(t *testing.T) {
 		for i := range ref {
 			if got[i] != ref[i] {
 				t.Fatalf("trial %d: out[%d] = %+v vs %+v", trial, i, got[i], ref[i])
+			}
+		}
+	}
+}
+
+// removeMultiEdgesReference is the brute-force definition of multi-edge
+// removal: an edge survives iff no other edge joins the same unordered
+// pair with a lower (weight, id). Survivors come back with U < V, in the
+// input's order.
+func removeMultiEdgesReference(in []wire.WEdge) []wire.WEdge {
+	canon := func(e wire.WEdge) wire.WEdge {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
+		}
+		return e
+	}
+	var out []wire.WEdge
+	for _, e := range in {
+		e = canon(e)
+		survives := true
+		for _, o := range in {
+			o = canon(o)
+			if o.U == e.U && o.V == e.V && (o.W < e.W || o.W == e.W && o.ID < e.ID) {
+				survives = false
+				break
+			}
+		}
+		if survives {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestRemoveMultiEdgesMatchesBruteForce offers RemoveMultiEdges candidate
+// streams where weights tie everywhere (all equal, or four raw values),
+// each pair arrives in both orientations, and the stream comes in
+// ascending, descending and shuffled id order. Every presentation must
+// keep each pair's (weight, id)-least edge, return the survivors sorted
+// by (U, V) with U < V, and price exactly one hash op per input edge.
+func TestRemoveMultiEdgesMatchesBruteForce(t *testing.T) {
+	rng := testutil.Rand(t, 4001)
+	orders := map[string]func([]wire.WEdge){
+		"ascending":  func([]wire.WEdge) {},
+		"descending": slices.Reverse[[]wire.WEdge],
+		"shuffled": func(s []wire.WEdge) {
+			rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		},
+	}
+	for _, wname := range []string{"all-equal", "raw-0-3"} {
+		t.Run(wname, func(t *testing.T) {
+			var cands []wire.WEdge
+			for id := int32(0); id < 600; id++ {
+				// Few components and sequential ids: many candidates per pair.
+				u, v := int32(rng.Intn(12)), int32(rng.Intn(12))
+				if u == v {
+					v = u + 1
+				}
+				w := uint64(7)
+				if wname == "raw-0-3" {
+					w = uint64(rng.Intn(4))
+				}
+				cands = append(cands, wire.WEdge{U: u, V: v, W: w, ID: id})
+			}
+			want := removeMultiEdgesReference(cands)
+			slices.SortFunc(want, func(a, b wire.WEdge) int {
+				return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
+			})
+			for _, oname := range []string{"ascending", "descending", "shuffled"} {
+				t.Run(oname, func(t *testing.T) {
+					in := slices.Clone(cands)
+					orders[oname](in)
+					got, w := RemoveMultiEdges(in)
+					if !slices.Equal(got, want) {
+						t.Fatalf("got %d survivors %+v\nwant %d %+v", len(got), got, len(want), want)
+					}
+					for i, e := range got {
+						if e.U >= e.V || i > 0 && cmp.Or(cmp.Compare(got[i-1].U, e.U), cmp.Compare(got[i-1].V, e.V)) >= 0 {
+							t.Fatalf("survivor %d %+v not canonical or not (U, V)-sorted", i, e)
+						}
+					}
+					if n := int64(len(cands)); w != (cost.Work{HashOps: n, EdgesScanned: n}) {
+						t.Fatalf("work %+v, want HashOps = EdgesScanned = %d", w, n)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestRemoveMultiEdgesCanonicalPairs offers one pair in both orientations:
+// exactly one survivor comes back, with U < V, and it is the (weight,
+// id)-least of the two.
+func TestRemoveMultiEdgesCanonicalPairs(t *testing.T) {
+	f := func(a, b int32, w1, w2 uint64) bool {
+		if a == b {
+			return true
+		}
+		in := []wire.WEdge{{U: a, V: b, W: w1, ID: 0}, {U: b, V: a, W: w2, ID: 1}}
+		out, _ := RemoveMultiEdges(in)
+		if len(out) != 1 || out[0].U != min(a, b) || out[0].V != max(a, b) {
+			return false
+		}
+		wantID := int32(0)
+		if w2 < w1 {
+			wantID = 1
+		}
+		return out[0].ID == wantID
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemoveMultiEdgesReversedTieBreak feeds one pair equal-weight
+// candidates in descending and in ascending id order, each in both
+// orientations: every presentation keeps the eid-0 edge. Strictly
+// descending weights keep the lightest.
+func TestRemoveMultiEdgesReversedTieBreak(t *testing.T) {
+	const k = 16
+	var desc, asc, heavyFirst []wire.WEdge
+	for i := int32(k - 1); i >= 0; i-- {
+		u, v := int32(5), int32(9)
+		if i%2 == 1 {
+			u, v = v, u
+		}
+		desc = append(desc, wire.WEdge{U: u, V: v, W: 7, ID: i})
+		heavyFirst = append(heavyFirst, wire.WEdge{U: u, V: v, W: uint64(i) + 1, ID: k - 1 - i})
+	}
+	asc = slices.Clone(desc)
+	slices.Reverse(asc)
+	for name, in := range map[string][]wire.WEdge{"descending": desc, "ascending": asc} {
+		out, _ := RemoveMultiEdges(slices.Clone(in))
+		if len(out) != 1 || out[0] != (wire.WEdge{U: 5, V: 9, W: 7, ID: 0}) {
+			t.Fatalf("%s ids: kept %+v, want the eid-0 edge", name, out)
+		}
+	}
+	out, _ := RemoveMultiEdges(heavyFirst)
+	if len(out) != 1 || out[0].W != 1 || out[0].ID != k-1 {
+		t.Fatalf("descending weights: kept %+v, want W=1 ID=%d", out, k-1)
+	}
+}
+
+// TestRemoveMultiEdgesShuffledStreamsFindGlobalMinima offers many
+// candidates per pair under random weights in several shuffled orders:
+// every order keeps exactly one edge per pair, the pair's lightest.
+func TestRemoveMultiEdgesShuffledStreamsFindGlobalMinima(t *testing.T) {
+	rng := testutil.Rand(t, 3)
+	const pairs, perPair = 100, 500
+	type pair struct{ u, v int32 }
+	var cands []wire.WEdge
+	want := map[pair]uint64{}
+	for p := 0; p < pairs; p++ {
+		a, b := int32(rng.Intn(50)), int32(rng.Intn(50))
+		if a == b {
+			b = a + 1
+		}
+		k := pair{min(a, b), max(a, b)}
+		for i := 0; i < perPair; i++ {
+			w := uint64(rng.Int63n(1 << 40))
+			cands = append(cands, wire.WEdge{U: a, V: b, W: w, ID: int32(len(cands))})
+			if cur, ok := want[k]; !ok || w < cur {
+				want[k] = w
+			}
+		}
+	}
+	for trial := 0; trial < 4; trial++ {
+		in := slices.Clone(cands)
+		rng.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+		out, _ := RemoveMultiEdges(in)
+		if len(out) != len(want) {
+			t.Fatalf("trial %d: %d survivors, want %d", trial, len(out), len(want))
+		}
+		for _, e := range out {
+			if w, ok := want[pair{e.U, e.V}]; !ok || e.W != w {
+				t.Fatalf("trial %d: pair (%d,%d) kept W=%d, want %d", trial, e.U, e.V, e.W, w)
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 // Package merge implements the data-reduction and hierarchical-merging
 // machinery of §3.3/§3.4: self-edge removal, ghost parent-id exchange,
-// multi-edge removal through the pair-min hash table, component segment
+// multi-edge removal through one map per call, component segment
 // formation, ring-based segment exchange within groups, and the transfer
 // encoding used when components move between ranks.
 //
@@ -18,8 +18,7 @@ import (
 	"slices"
 
 	"mndmst/internal/cost"
-	"mndmst/internal/hashtable"
-	"mndmst/internal/parutil"
+	"mndmst/internal/graph"
 	"mndmst/internal/wire"
 )
 
@@ -44,27 +43,34 @@ func Relabel(edges []wire.WEdge, parentOf func(int32) int32) (kept []wire.WEdge,
 }
 
 // RemoveMultiEdges keeps only the lightest edge between every pair of
-// components, using the sharded pair-min hash table of §3.3 updated in
-// parallel. The result is sorted by (U, V) for determinism.
+// components — the multi-edge removal of §3.3 — with endpoints put in
+// canonical U < V order. Equal weights go to the lower edge id, so each
+// pair's survivor does not depend on the input order. One plain map from
+// the canonical pair to the survivor's output slot does the removal, and
+// only the survivors are sorted, by (U, V). The input slice is reused. The
+// work is priced as the paper's hash table: one hash operation per edge.
 func RemoveMultiEdges(edges []wire.WEdge) ([]wire.WEdge, cost.Work) {
-	var w cost.Work
-	t := hashtable.NewPairMinTable()
-	parutil.For(len(edges), 1024, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			if e.U > e.V {
-				e.U, e.V = e.V, e.U
-			}
-			t.Update(e.U, e.V, e)
+	n := len(edges)
+	slot := make(map[uint64]int32)
+	out := edges[:0]
+	for _, e := range edges {
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
 		}
-	})
-	out := t.Edges()
+		k := uint64(uint32(e.U))<<32 | uint64(uint32(e.V))
+		i, ok := slot[k]
+		switch {
+		case !ok:
+			slot[k] = int32(len(out))
+			out = append(out, e)
+		case graph.WeightLess(e.W, out[i].W) || !graph.WeightLess(out[i].W, e.W) && e.ID < out[i].ID:
+			out[i] = e
+		}
+	}
 	slices.SortFunc(out, func(a, b wire.WEdge) int {
 		return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V))
 	})
-	w.HashOps = t.Ops()
-	w.EdgesScanned = int64(len(edges))
-	return out, w
+	return out, cost.Work{HashOps: int64(n), EdgesScanned: int64(n)}
 }
 
 // DedupeByID removes duplicate copies of the same original edge (same ID),

@@ -42,17 +42,3 @@ func BenchmarkMinSlotPropose(b *testing.B) {
 		s.Propose(int64(i&0xffff), less)
 	}
 }
-
-func BenchmarkWorklistPushSwap(b *testing.B) {
-	const n = 1 << 16
-	w := NewWorklist(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		For(n, 1<<12, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				w.Push(int32(j))
-			}
-		})
-		w.Swap()
-	}
-}

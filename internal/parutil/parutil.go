@@ -1,7 +1,6 @@
 // Package parutil provides the shared-memory parallel building blocks used
 // by every kernel in the repository: grained parallel-for over index ranges,
-// parallel reductions, prefix sums, and atomic min-slots for lightest-edge
-// selection.
+// parallel reductions, and atomic min-slots for lightest-edge selection.
 //
 // The package deliberately exposes a small, allocation-conscious API. All
 // functions are safe for concurrent use unless noted otherwise.
@@ -79,15 +78,6 @@ func For(n, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForEach runs fn for each index in [0, n) in parallel with the given grain.
-func ForEach(n, grain int, fn func(i int)) {
-	For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
 // ReduceInt64 computes the combination of fn over chunks of [0, n).
 // fn returns a partial value for its chunk; combine folds two partials.
 // identity is returned for n <= 0.
@@ -124,41 +114,6 @@ func CountIf(n, grain int, pred func(i int) bool) int64 {
 			return 1
 		}
 		return 0
-	})
-}
-
-// ExclusivePrefixSum replaces counts with its exclusive prefix sum and
-// returns the grand total. counts[i] becomes sum(counts[0:i]).
-// The scan itself is sequential (it is never the bottleneck for the sizes
-// used here) but the function is kept in parutil because every compaction
-// kernel pairs a parallel count phase with this scan.
-func ExclusivePrefixSum(counts []int64) int64 {
-	var total int64
-	for i, c := range counts {
-		counts[i] = total
-		total += c
-	}
-	return total
-}
-
-// ExclusivePrefixSumInt32 is ExclusivePrefixSum for int32 slices; it returns
-// the total as int64 to avoid overflow on large inputs.
-func ExclusivePrefixSumInt32(counts []int32) int64 {
-	var total int64
-	for i, c := range counts {
-		counts[i] = int32(total)
-		total += int64(c)
-	}
-	return total
-}
-
-// Fill sets every element of dst to v, in parallel for large slices.
-func Fill[T any](dst []T, v T) {
-	For(len(dst), 1<<15, func(lo, hi int) {
-		d := dst[lo:hi]
-		for i := range d {
-			d[i] = v
-		}
 	})
 }
 

@@ -122,6 +122,50 @@ func TestSendqFailUnblocksPutAndFlush(t *testing.T) {
 	}
 }
 
+// TestSendqFlushWaitsForInflightWrite replays the teardown race of a
+// finished run: the writer has taken the last frame, the peer reads it and
+// hangs up, and its EOF fails the queue before the writer reports the
+// write. flush must wait for the write's outcome: success if the writer
+// completes it, the queue's failure if the writer abandons it.
+func TestSendqFlushWaitsForInflightWrite(t *testing.T) {
+	cause := errors.New("peer hung up")
+	for _, tc := range []struct {
+		name    string
+		outcome func(q *sendq)
+		want    error
+	}{
+		{"written", (*sendq).complete, nil},
+		{"lost", (*sendq).abandon, cause},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := newSendq(0)
+			if err := q.put(outFrame{payload: []byte("last")}, time.Now().Add(time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, _ := q.take(time.Second); !ok {
+				t.Fatal("writer took no frame")
+			}
+			q.fail(cause)
+			flushErr := make(chan error, 1)
+			go func() { flushErr <- q.flush(time.Now().Add(30 * time.Second)) }()
+			select {
+			case err := <-flushErr:
+				t.Fatalf("flush returned %v before the in-flight write's outcome", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			tc.outcome(q)
+			select {
+			case err := <-flushErr:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("flush err=%v, want %v", err, tc.want)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("flush never returned after the write's outcome")
+			}
+		})
+	}
+}
+
 // --- Mem.Isend ---
 
 func TestMemIsendEqualsSend(t *testing.T) {

@@ -36,6 +36,11 @@ type sendq struct {
 
 	enq  int64 // frames accepted by put
 	done int64 // frames fully handed to the kernel by the writer
+	// inflight marks a frame the writer has taken but not yet reported
+	// written (complete) or lost (abandon). flush waits for that outcome
+	// even after the queue fails: a peer that read the frame and hung up
+	// can fail the queue before the writer reports the write.
+	inflight bool
 
 	err    error // sticky failure; queued frames are dropped
 	closed bool  // graceful: no new puts, queued frames still drain
@@ -122,6 +127,7 @@ func (q *sendq) take(idle time.Duration) (f outFrame, ok, exit bool) {
 			q.frames[len(q.frames)-1] = outFrame{}
 			q.frames = q.frames[:len(q.frames)-1]
 			q.bytes -= int64(len(f.payload))
+			q.inflight = true
 			q.cond.Broadcast()
 			return f, true, false
 		}
@@ -140,12 +146,23 @@ func (q *sendq) take(idle time.Duration) (f outFrame, ok, exit bool) {
 func (q *sendq) complete() {
 	q.mu.Lock()
 	q.done++
+	q.inflight = false
+	q.mu.Unlock()
+	q.cond.Broadcast()
+}
+
+// abandon records that the write of the frame most recently taken failed,
+// waking flush waiters to report the queue's failure.
+func (q *sendq) abandon() {
+	q.mu.Lock()
+	q.inflight = false
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
 
 // flush blocks until every frame accepted so far has been handed to the
-// kernel, the queue fails, or the deadline passes (errQueueTimeout).
+// kernel, the queue fails with no write in flight, or the deadline passes
+// (errQueueTimeout, or the failure if the queue has failed).
 func (q *sendq) flush(deadline time.Time) error {
 	stop := q.wakeAt(deadline)
 	defer stop()
@@ -156,10 +173,13 @@ func (q *sendq) flush(deadline time.Time) error {
 		if q.done >= target {
 			return nil
 		}
-		if q.err != nil {
+		if q.err != nil && !q.inflight {
 			return q.err
 		}
 		if !time.Now().Before(deadline) {
+			if q.err != nil {
+				return q.err
+			}
 			return errQueueTimeout{}
 		}
 		q.cond.Wait()

@@ -581,6 +581,7 @@ func (t *TCP) writeLoop(p *tcpPeer) {
 			continue
 		}
 		if t.writeFrame(p, f.tag, f.payload) != nil {
+			p.out.abandon()
 			return // frames in flight are lost with the connection
 		}
 		p.m.framesSent.Inc()

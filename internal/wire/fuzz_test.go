@@ -33,12 +33,6 @@ func FuzzTakeSections(f *testing.F) {
 				t.Fatalf("edge round trip: %v", err)
 			}
 		}
-		if vals, _, err := TakeFloat64s(data); err == nil {
-			round := AppendFloat64s(nil, vals)
-			if back, _, err := TakeFloat64s(round); err != nil || len(back) != len(vals) {
-				t.Fatalf("float64 round trip: %v", err)
-			}
-		}
 		if b, _, err := TakeBytes(data); err == nil {
 			round := AppendBytes(nil, b)
 			if back, _, err := TakeBytes(round); err != nil || !bytes.Equal(back, b) {

@@ -7,7 +7,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // AppendInt32s appends a length-prefixed []int32 to buf.
@@ -61,34 +60,6 @@ func TakeUint64s(buf []byte) ([]uint64, []byte, error) {
 	vals := make([]uint64, n)
 	for i := range vals {
 		vals[i] = binary.LittleEndian.Uint64(buf)
-		buf = buf[8:]
-	}
-	return vals, buf, nil
-}
-
-// AppendFloat64s appends a length-prefixed []float64 to buf (IEEE-754 bit
-// patterns, little-endian).
-func AppendFloat64s(buf []byte, vals []float64) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(vals)))
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
-// TakeFloat64s decodes a length-prefixed []float64 from buf.
-func TakeFloat64s(buf []byte) ([]float64, []byte, error) {
-	if len(buf) < 8 {
-		return nil, nil, fmt.Errorf("wire: short buffer for float64 slice header")
-	}
-	n := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	if n > uint64(len(buf))/8 {
-		return nil, nil, fmt.Errorf("wire: float64 slice truncated: want %d values, have %d bytes", n, len(buf))
-	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
 		buf = buf[8:]
 	}
 	return vals, buf, nil

@@ -3,10 +3,14 @@ package mndmst
 import (
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"mndmst/internal/gen"
 	"mndmst/internal/graph"
+	"mndmst/internal/parutil"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -144,6 +148,52 @@ func TestLoadGraphDuplicateWeights(t *testing.T) {
 	}
 	if want := uint64(42 * len(res.EdgeIDs)); res.TotalWeight != want {
 		t.Fatalf("weight %d, want %d", res.TotalWeight, want)
+	}
+}
+
+// TestFindMSFDeterministicOnDuplicateRawWeights loads a web-shaped file
+// whose raw weights repeat (a file need not carry MakeWeight's distinct
+// packed weights) and requires FindMSF to return one forest and one
+// simulated time on every call, whatever the host parallelism. Ties are
+// decided by edge id everywhere on the core path, including multi-edge
+// removal.
+func TestFindMSFDeterministicOnDuplicateRawWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	el := gen.WebGraph(3000, 30_000, 0.8, 15)
+	for i := range el.Edges {
+		el.Edges[i].W = uint64(rng.Intn(4))
+	}
+	path := filepath.Join(t.TempDir(), "ties.mnd")
+	if err := graph.SaveEdgeList(path, el); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer parutil.SetMaxWorkers(parutil.MaxWorkers())
+	var first *Result
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		parutil.SetMaxWorkers(procs)
+		for call := 0; call < 20; call++ {
+			res, err := FindMSF(g, Options{Nodes: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = res
+				if err := Verify(g, res); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if !slices.Equal(res.EdgeIDs, first.EdgeIDs) || res.SimSeconds != first.SimSeconds {
+				t.Fatalf("GOMAXPROCS %d, call %d: %d edges, sim %v s; first call: %d edges, sim %v s",
+					procs, call, len(res.EdgeIDs), res.SimSeconds, len(first.EdgeIDs), first.SimSeconds)
+			}
+		}
 	}
 }
 
